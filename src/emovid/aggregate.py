@@ -27,7 +27,7 @@ class AggregationConfig:
     """Which blocks to compute (in concatenation order) and whether the
     variant axis is averaged away first."""
 
-    aggregators: tuple = STAT_STAR_AGGREGATORS
+    aggregators: tuple[str, ...] = STAT_STAR_AGGREGATORS
     average_variants: bool = True
 
     def __post_init__(self):

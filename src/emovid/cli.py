@@ -9,8 +9,6 @@ stage. Commands exit nonzero with a single-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,20 +17,25 @@ import numpy as np
 
 from .aggregate import AggregationConfig, build_video_descriptor
 from .core import SPLITS, ClassWeights, EmotionLabel, label_from_name
-from .ensemble import (
-    EnsembleConfig,
-    class_weights_from_counts,
-    predict,
+from .ensemble import EnsembleConfig, class_weights_from_counts, predict, run_ensemble
+from .evaluate import evaluate, render_report, report_to_dict
+from .ingest import (
+    load_audio_features,
+    load_frame_features,
+    load_manifest,
+    parse_weight_row,
+    read_descriptors,
+    read_json,
     read_predictions,
     read_scores,
     read_weight_row,
-    run_ensemble,
+    sniff_stream_kind,
+    write_descriptors,
+    write_json,
     write_predictions,
     write_scores,
     write_weights,
 )
-from .evaluate import evaluate, render_report, report_to_dict
-from .ingest import load_audio_features, load_frame_features, load_manifest, sniff_stream_kind
 from .normalize import NormalizationConfig, apply_normalization, fit_normalization
 from .svm import (
     SvmTrainConfig,
@@ -43,111 +46,49 @@ from .svm import (
     train_ovr,
 )
 from .synth import SynthConfig, generate_dataset
-from .util import derive_seed, dumps_17g, fmt17
+from .util import config_from_dict, derive_seed
 
 DEFAULT_CV_GRID = tuple(2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6))
 
 
 @dataclass(frozen=True)
+class ScoreConfig:
+    """The config's "ensemble" section; --mode overrides it."""
+
+    score_mode: str = "softmax"
+
+
+@dataclass(frozen=True)
+class CvConfig:
+    grid: tuple[float, ...] = DEFAULT_CV_GRID
+    folds: int = 5
+
+    def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if not self.grid:
+            raise ValueError("cv grid must be non-empty")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
-    streams: dict = field(default_factory=lambda: {"frames": AggregationConfig()})
+    """A pipeline config; its fields mirror the JSON sections one to one."""
+
+    streams: dict[str, AggregationConfig] = field(
+        default_factory=lambda: {"frames": AggregationConfig()}
+    )
     normalization: NormalizationConfig = NormalizationConfig()
     svm: SvmTrainConfig = SvmTrainConfig()
-    score_mode: str = "softmax"
-    cv_grid: tuple = DEFAULT_CV_GRID
-    cv_folds: int = 5
+    ensemble: ScoreConfig = ScoreConfig()
+    cv: CvConfig = CvConfig()
 
     def __post_init__(self):
         if not self.streams:
             raise ValueError("config must declare at least one stream")
-        if self.cv_folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.cv_folds}")
-        if not self.cv_grid:
-            raise ValueError("cv grid must be non-empty")
-
-
-def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
-    known = {"streams", "normalization", "svm", "ensemble", "cv"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    streams = {
-        name: AggregationConfig(
-            aggregators=tuple(stream.get("aggregators", AggregationConfig().aggregators)),
-            average_variants=bool(stream.get("average_variants", True)),
-        )
-        for name, stream in doc.get("streams", {"frames": {}}).items()
-    }
-    norm_doc = doc.get("normalization", {})
-    normalization = NormalizationConfig(
-        range_scale=bool(norm_doc.get("range_scale", True)),
-        rootsift=bool(norm_doc.get("rootsift", True)),
-        standardize=bool(norm_doc.get("standardize", True)),
-    )
-    svm_doc = doc.get("svm", {})
-    svm = SvmTrainConfig(
-        C=float(svm_doc.get("C", 1.0)),
-        tolerance=float(svm_doc.get("tolerance", 1e-4)),
-        max_epochs=int(svm_doc.get("max_epochs", 1000)),
-        seed=int(svm_doc.get("seed", 0)),
-        bias=bool(svm_doc.get("bias", True)),
-    )
-    ens_doc = doc.get("ensemble", {})
-    cv_doc = doc.get("cv", {})
-    return PipelineConfig(
-        streams=streams,
-        normalization=normalization,
-        svm=svm,
-        score_mode=str(ens_doc.get("score_mode", "softmax")),
-        cv_grid=tuple(float(c) for c in cv_doc.get("grid", DEFAULT_CV_GRID)),
-        cv_folds=int(cv_doc.get("folds", 5)),
-    )
 
 
 def load_pipeline_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    return pipeline_config_from_dict(doc)
-
-
-# --- descriptor files --------------------------------------------------------
-
-
-def write_descriptors(video_ids, matrix: np.ndarray, path) -> None:
-    """CSV: id,x0,...,x{D-1}, one row per video, floats at 17 digits."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["id"] + [f"x{j}" for j in range(matrix.shape[1])])
-        for vid, row in zip(video_ids, matrix):
-            writer.writerow([vid] + [fmt17(v) for v in row])
-
-
-def read_descriptors(path):
-    """Returns (video_ids, matrix) from a descriptor CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None or header[0] != "id" or len(header) < 2:
-            raise ValueError(f"{path}: expected header id,x0,...")
-        ids = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {lineno}: ragged row")
-            ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-    if not ids:
-        raise ValueError(f"{path}: no descriptor rows")
-    return tuple(ids), np.asarray(rows, dtype=np.float64)
+    return PipelineConfig() if path is None else config_from_dict(PipelineConfig, read_json(path))
 
 
 def _parse_splits(value: str):
@@ -187,15 +128,7 @@ def _select_labeled_rows(manifest, desc_ids, matrix, splits, require_labels=True
 
 
 def cmd_synth(args) -> int:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fp:
-            try:
-                doc = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-        cfg = SynthConfig.from_dict(doc)
-    else:
-        cfg = SynthConfig()
+    cfg = SynthConfig() if args.config is None else SynthConfig.from_dict(read_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, "synth"))
     dataset = generate_dataset(cfg, args.out)
@@ -241,9 +174,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_cv(args) -> int:
     config = load_pipeline_config(args.config)
-    folds = args.folds if args.folds is not None else config.cv_folds
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    folds = args.folds if args.folds is not None else config.cv.folds
     manifest = load_manifest(args.manifest)
     desc_ids, matrix = read_descriptors(args.descriptors)
     splits = _parse_splits(args.splits)
@@ -254,24 +185,24 @@ def cmd_cv(args) -> int:
     best_c, accuracies = cross_validate_c(
         X,
         labels,
-        config.cv_grid,
+        config.cv.grid,
         cfg=config.svm,
         folds=folds,
         seed=fold_seed,
         norm_config=config.normalization,
         ids=ids,
     )
-    for c_value, acc in zip(config.cv_grid, accuracies):
+    for c_value, acc in zip(config.cv.grid, accuracies):
         print(f"C={c_value:g}  mean_accuracy={acc:.4f}")
     print(f"best C: {best_c:g}")
     if args.out:
         report = {
-            "grid": [float(c) for c in config.cv_grid],
-            "mean_accuracies": [float(a) for a in accuracies],
+            "grid": list(config.cv.grid),
+            "mean_accuracies": accuracies,
             "best_c": float(best_c),
             "folds": int(folds),
         }
-        Path(args.out).write_text(dumps_17g(report), encoding="utf-8")
+        write_json(report, args.out)
     return 0
 
 
@@ -332,29 +263,19 @@ def _class_weights_from_args(args) -> ClassWeights | None:
     if len(chosen) > 1:
         raise ValueError(f"use only one of {', '.join(chosen)}")
     if args.counts is not None:
-        return class_weights_from_counts(_parse_seven(args.counts))
+        return class_weights_from_counts(parse_weight_row(args.counts))
     if args.counts_file is not None:
         return class_weights_from_counts(read_weight_row(args.counts_file))
     if args.weights is not None:
-        return ClassWeights(np.asarray(_parse_seven(args.weights)))
+        return ClassWeights(parse_weight_row(args.weights))
     if args.weights_file is not None:
         return ClassWeights(read_weight_row(args.weights_file))
     return None
 
 
-def _parse_seven(text: str) -> list:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 7:
-        raise ValueError(f"expected 7 comma-separated values, got {len(parts)}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"non-numeric value in {text!r}") from None
-
-
 def cmd_ensemble(args) -> int:
     config = load_pipeline_config(args.config)
-    mode = args.mode if args.mode is not None else config.score_mode
+    mode = args.mode if args.mode is not None else config.ensemble.score_mode
     weights = _class_weights_from_args(args)
     cfg = EnsembleConfig(score_mode=mode, class_weights=weights)
     streams = [read_scores(p) for p in args.scores]
@@ -399,7 +320,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(kept, truths)
     sys.stdout.write(render_report(report))
     if args.out:
-        Path(args.out).write_text(dumps_17g(report_to_dict(report)), encoding="utf-8")
+        write_json(report_to_dict(report), args.out)
     return 0
 
 

@@ -9,13 +9,19 @@ down, not up).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMOTION_NAMES, NUM_CLASSES, ClassWeights, EmotionLabel, ScoreMatrix
-from .util import fmt17
+from .core import NUM_CLASSES, ClassWeights, EmotionLabel, ScoreMatrix
+from .ingest import (  # noqa: F401 - re-exported; ingest holds every file format
+    read_predictions,
+    read_scores,
+    read_weight_row,
+    write_predictions,
+    write_scores,
+    write_weights,
+)
 
 SCORE_MODES = ("raw", "softmax")
 
@@ -104,92 +110,3 @@ def run_ensemble(streams, cfg: EnsembleConfig = EnsembleConfig()) -> ScoreMatrix
             raise ValueError("class weights require softmax score mode")
         combined = apply_class_weights(combined, cfg.class_weights)
     return combined
-
-
-# --- file formats -----------------------------------------------------------
-
-SCORE_HEADER = ("id",) + EMOTION_NAMES
-PREDICTION_HEADER = ("id", "label")
-
-
-def write_scores(scores: ScoreMatrix, path) -> None:
-    """CSV: id,Angry,...,Surprise; one row per video, floats at 17 digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(SCORE_HEADER)
-        for vid, row in zip(scores.video_ids, scores.scores):
-            writer.writerow([vid] + [fmt17(v) for v in row])
-
-
-def read_scores(path) -> ScoreMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None or tuple(header) != SCORE_HEADER:
-            raise ValueError(f"{path}: expected score header {','.join(SCORE_HEADER)}")
-        ids = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + NUM_CLASSES:
-                raise ValueError(f"{path}: line {lineno}: expected {1 + NUM_CLASSES} fields")
-            ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric score") from None
-    if not ids:
-        raise ValueError(f"{path}: no score rows")
-    return ScoreMatrix(tuple(ids), np.asarray(rows, dtype=np.float64))
-
-
-def write_weights(weights: ClassWeights, path) -> None:
-    """CSV single row of the 7 weights."""
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(",".join(fmt17(v) for v in weights.weights) + "\n")
-
-
-def read_weight_row(path) -> np.ndarray:
-    """Read one CSV row of 7 numbers (counts or weights; caller decides)."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        rows = [row for row in csv.reader(fp) if row]
-    if len(rows) != 1:
-        raise ValueError(f"{path}: expected exactly one row, got {len(rows)}")
-    if len(rows[0]) != NUM_CLASSES:
-        raise ValueError(f"{path}: expected {NUM_CLASSES} values, got {len(rows[0])}")
-    try:
-        return np.asarray([float(v) for v in rows[0]], dtype=np.float64)
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric value in weights row") from None
-
-
-def write_predictions(video_ids, labels, path) -> None:
-    """CSV: id,label with canonical label names."""
-    if len(video_ids) != len(labels):
-        raise ValueError(f"{len(video_ids)} ids but {len(labels)} labels")
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(PREDICTION_HEADER)
-        for vid, label in zip(video_ids, labels):
-            writer.writerow([vid, EmotionLabel(label).display_name])
-
-
-def read_predictions(path):
-    """Returns (video_ids, labels) from a predictions CSV."""
-    from .core import label_from_name
-
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None or tuple(header) != PREDICTION_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(PREDICTION_HEADER)}")
-        ids = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            ids.append(row[0])
-            try:
-                labels.append(label_from_name(row[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return tuple(ids), labels

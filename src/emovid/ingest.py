@@ -1,4 +1,4 @@
-"""Load dataset manifests and per-video feature files; validate shapes.
+"""Every file format emovid reads or writes, and the checks on reading.
 
 Formats:
   manifest      line-delimited JSON objects with keys id, split, label
@@ -6,8 +6,16 @@ Formats:
   frame file    CSV header frame,variant,f0,...,f{d-1}; one row per
                 (frame, variant); the grid must be rectangular
   audio file    CSV header f0,...,f{d-1} and exactly one data row
+  descriptors   CSV header id,x0,...,x{D-1}; one row per video
+  scores        CSV header id,Angry,...,Surprise; one row per video
+  weights       CSV without header: one row of 7 values
+  predictions   CSV header id,label with canonical label names
+  JSON          one object per file (configs, models, reports)
 
-Writers serialize floats with 17 significant digits, so write-then-read
+Every CSV goes through one row reader: blank lines are skipped, every row
+must match the header's width, float cells must be finite numbers, and
+ids must be unique in descriptor, score and prediction files. Writers
+serialize floats with 17 significant digits, so write-then-read
 reproduces every matrix bit-exactly.
 """
 
@@ -20,8 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SPLITS, FrameFeatureSequence, label_from_name
-from .util import fmt17
+from .core import (
+    EMOTION_NAMES,
+    NUM_CLASSES,
+    SPLITS,
+    ClassWeights,
+    EmotionLabel,
+    FrameFeatureSequence,
+    ScoreMatrix,
+    label_from_name,
+)
+from .util import dumps_17g, fmt17
 
 
 @dataclass(frozen=True)
@@ -48,6 +65,29 @@ class Manifest:
         return len(self.entries)
 
 
+# --- JSON -----------------------------------------------------------------------
+
+
+def _json_object(text: str, where) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    return doc
+
+
+def read_json(path) -> dict:
+    """Parse a file holding one JSON object (a config or a model)."""
+    return _json_object(Path(path).read_text(encoding="utf-8"), path)
+
+
+def write_json(doc, path) -> None:
+    """Write a model or report as JSON with floats at 17 digits."""
+    Path(path).write_text(dumps_17g(doc), encoding="utf-8")
+
+
 def load_manifest(path) -> Manifest:
     """Parse a manifest; duplicate ids, bad splits, unknown labels and
     unresolvable stream paths are rejected with the offending line."""
@@ -59,12 +99,7 @@ def load_manifest(path) -> Manifest:
         for lineno, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+            record = _json_object(line, f"{path}: line {lineno}")
             try:
                 video_id = record["id"]
                 split = record["split"]
@@ -114,23 +149,91 @@ def write_manifest(entries, path) -> None:
             fp.write(json.dumps(record) + "\n")
 
 
-def _parse_float_row(values, path, lineno) -> np.ndarray:
+# --- CSV ------------------------------------------------------------------------
+
+
+def _numbered(prefix: str, count: int) -> tuple:
+    return tuple(f"{prefix}{j}" for j in range(count))
+
+
+def _row_values(row, width: int, start: int, where) -> np.ndarray:
+    """The float cells row[start:] of a row that must have width cells."""
+    if len(row) != width:
+        raise ValueError(f"{where}: {len(row)} fields, expected {width}")
     try:
-        row = np.asarray([float(v) for v in values], dtype=np.float64)
+        values = np.array(row[start:], dtype=np.float64)
     except ValueError:
-        raise ValueError(f"{path}: line {lineno}: non-numeric feature value") from None
-    if not np.isfinite(row).all():
-        raise ValueError(f"{path}: line {lineno}: non-finite value")
-    return row
+        raise ValueError(f"{where}: non-numeric value") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where}: non-finite value")
+    return values
 
 
-_FRAME_HEADER_PREFIX = ("frame", "variant")
+def _read_rows(path, fixed, features, unique: bool = False):
+    """Yield (line number, cells, float values) for each data row of a CSV.
+
+    The header must be fixed + features, where features is a tuple of
+    names or a prefix p standing for p0,...,p{d-1} with d >= 1; fixed=None
+    means the file has no header and len(features) columns. Blank lines
+    are skipped. The cells after the fixed columns are parsed one row at a
+    time and must be finite numbers; with unique, no two rows may share
+    their first cell.
+    """
+    path = Path(path)
+    seen = set()
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
+        if fixed is None:
+            width, start = len(features), 0
+        else:
+            header = tuple(next(reader, ()))
+            if isinstance(features, str):
+                expected = fixed + _numbered(features, max(1, len(header) - len(fixed)))
+                shown = fixed + (f"{features}0", "...")
+            else:
+                expected = shown = fixed + features
+            if header != expected:
+                raise ValueError(f"{path}: expected header {','.join(shown)}")
+            width, start = len(header), len(fixed)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            values = _row_values(row, width, start, where)
+            if unique:
+                if row[0] in seen:
+                    raise ValueError(f"{where}: duplicate {fixed[0]} {row[0]!r}")
+                seen.add(row[0])
+            yield reader.line_num, row, values
 
 
-def _check_feature_names(names, path) -> None:
-    expected = [f"f{j}" for j in range(len(names))]
-    if list(names) != expected:
-        raise ValueError(f"{path}: feature columns must be f0..f{len(names) - 1}")
+def _write_rows(path, header, rows) -> None:
+    """Write a CSV: the header (None for none), then for each (cells,
+    values) pair the text cells followed by the floats at 17 digits."""
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for cells, values in rows:
+            writer.writerow([*cells, *map(fmt17, values)])
+
+
+def _read_one_row(path, fixed, features) -> np.ndarray:
+    rows = list(_read_rows(path, fixed, features))
+    if len(rows) != 1:
+        raise ValueError(f"{path}: expected exactly one row, got {len(rows)}")
+    return rows[0][2]
+
+
+def _read_id_matrix(path, features, what: str):
+    """(ids, matrix) from a CSV of id + float columns with unique ids."""
+    ids, rows = [], []
+    for _, row, values in _read_rows(path, ("id",), features, unique=True):
+        ids.append(row[0])
+        rows.append(values)
+    if not ids:
+        raise ValueError(f"{path}: no {what} rows")
+    return tuple(ids), np.stack(rows)
 
 
 def load_frame_features(path, expected_dim: int | None = None, video_id: str | None = None) -> FrameFeatureSequence:
@@ -141,37 +244,22 @@ def load_frame_features(path, expected_dim: int | None = None, video_id: str | N
     combinations are rejected.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or tuple(header[:2]) != _FRAME_HEADER_PREFIX:
-            raise ValueError(f"{path}: expected header frame,variant,f0,...")
-        _check_feature_names(header[2:], path)
-        dim = len(header) - 2
-        if expected_dim is not None and dim != expected_dim:
-            raise ValueError(f"{path}: dimension {dim}, expected {expected_dim}")
-        cells = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                frame = int(row[0])
-                variant = int(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: frame and variant must be integers"
-                ) from None
-            if (frame, variant) in cells:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate (frame, variant) = ({frame}, {variant})"
-                )
-            cells[(frame, variant)] = _parse_float_row(row[2:], path, lineno)
+    cells = {}
+    for lineno, row, values in _read_rows(path, ("frame", "variant"), "f"):
+        try:
+            index = (int(row[0]), int(row[1]))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: frame and variant must be integers"
+            ) from None
+        if index in cells:
+            raise ValueError(f"{path}: line {lineno}: duplicate (frame, variant) = {index}")
+        cells[index] = values
     if not cells:
         raise ValueError(f"{path}: no feature rows")
+    dim = values.size
+    if expected_dim is not None and dim != expected_dim:
+        raise ValueError(f"{path}: dimension {dim}, expected {expected_dim}")
     frame_ids = sorted({f for f, _ in cells})
     variant_ids = sorted({v for _, v in cells})
     if len(cells) != len(frame_ids) * len(variant_ids):
@@ -179,43 +267,21 @@ def load_frame_features(path, expected_dim: int | None = None, video_id: str | N
             f"{path}: non-rectangular grid: {len(cells)} rows for "
             f"{len(frame_ids)} frames x {len(variant_ids)} variants"
         )
-    arr = np.empty((len(frame_ids), len(variant_ids), dim), dtype=np.float64)
-    for t, frame in enumerate(frame_ids):
-        for v, variant in enumerate(variant_ids):
-            if (frame, variant) not in cells:
-                raise ValueError(
-                    f"{path}: missing (frame, variant) = ({frame}, {variant})"
-                )
-            arr[t, v] = cells[(frame, variant)]
+    # len(cells) == frames x variants, so every (frame, variant) is present
+    arr = np.stack([[cells[(f, v)] for v in variant_ids] for f in frame_ids])
     return FrameFeatureSequence(video_id or path.stem, arr)
 
 
 def write_frame_features(seq: FrameFeatureSequence, path) -> None:
     """Write a sequence in the frame-feature CSV format (canonical indices)."""
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["frame", "variant"] + [f"f{j}" for j in range(seq.dim)])
-        for t in range(seq.num_frames):
-            for v in range(seq.num_variants):
-                writer.writerow([t, v] + [fmt17(x) for x in seq.frames[t, v]])
+    rows = ((index, seq.frames[index]) for index in np.ndindex(seq.frames.shape[:2]))
+    _write_rows(path, ("frame", "variant") + _numbered("f", seq.dim), rows)
 
 
 def load_audio_features(path) -> np.ndarray:
     """Read a single-row audio feature vector; the dimension is whatever
     the file carries (1582 for the usual audio stream, but unconstrained)."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None or not header:
-            raise ValueError(f"{path}: missing header f0,...")
-        _check_feature_names(header, path)
-        rows = [row for row in reader if row]
-    if len(rows) != 1:
-        raise ValueError(f"{path}: expected exactly one data row, got {len(rows)}")
-    if len(rows[0]) != len(header):
-        raise ValueError(f"{path}: line 2: {len(rows[0])} fields, expected {len(header)}")
-    return _parse_float_row(rows[0], path, 2)
+    return _read_one_row(path, (), "f")
 
 
 def write_audio_features(vector, path) -> None:
@@ -223,10 +289,7 @@ def write_audio_features(vector, path) -> None:
     arr = np.asarray(vector, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("audio features must be a non-empty 1-D vector")
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(arr.size)])
-        writer.writerow([fmt17(x) for x in arr])
+    _write_rows(path, _numbered("f", arr.size), [((), arr)])
 
 
 def sniff_stream_kind(path) -> str:
@@ -238,3 +301,61 @@ def sniff_stream_kind(path) -> str:
     if header.startswith("f0"):
         return "audio"
     raise ValueError(f"{path}: unrecognized feature file header")
+
+
+def read_descriptors(path):
+    """Returns (video_ids, matrix) from a descriptor CSV."""
+    return _read_id_matrix(path, "x", "descriptor")
+
+
+def write_descriptors(video_ids, matrix: np.ndarray, path) -> None:
+    """CSV: id,x0,...,x{D-1}, one row per video, floats at 17 digits."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    rows = (((vid,), row) for vid, row in zip(video_ids, matrix))
+    _write_rows(path, ("id",) + _numbered("x", matrix.shape[1]), rows)
+
+
+def read_scores(path) -> ScoreMatrix:
+    return ScoreMatrix(*_read_id_matrix(path, EMOTION_NAMES, "score"))
+
+
+def write_scores(scores: ScoreMatrix, path) -> None:
+    """CSV: id,Angry,...,Surprise; one row per video, floats at 17 digits."""
+    rows = (((vid,), row) for vid, row in zip(scores.video_ids, scores.scores))
+    _write_rows(path, ("id",) + EMOTION_NAMES, rows)
+
+
+def read_weight_row(path) -> np.ndarray:
+    """Read one CSV row of 7 numbers (counts or weights; caller decides)."""
+    return _read_one_row(path, None, EMOTION_NAMES)
+
+
+def parse_weight_row(text: str) -> np.ndarray:
+    """The 7 numbers of a weights row given inline, e.g. "98,40,70,...";
+    checked like a row of a weights file."""
+    return _row_values(text.split(","), NUM_CLASSES, 0, repr(text))
+
+
+def write_weights(weights: ClassWeights, path) -> None:
+    """CSV single row of the 7 weights."""
+    _write_rows(path, None, [((), weights.weights)])
+
+
+def read_predictions(path):
+    """Returns (video_ids, labels) from a predictions CSV."""
+    ids, labels = [], []
+    for lineno, row, _ in _read_rows(path, ("id", "label"), (), unique=True):
+        ids.append(row[0])
+        try:
+            labels.append(label_from_name(row[1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return tuple(ids), labels
+
+
+def write_predictions(video_ids, labels, path) -> None:
+    """CSV: id,label with canonical label names."""
+    if len(video_ids) != len(labels):
+        raise ValueError(f"{len(video_ids)} ids but {len(labels)} labels")
+    rows = (((vid, EmotionLabel(label).display_name), ()) for vid, label in zip(video_ids, labels))
+    _write_rows(path, ("id", "label"), rows)

@@ -17,9 +17,7 @@ normalization chain re-fit inside every fold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +30,11 @@ from .normalize import (
     apply_normalization,
     fit_normalization,
 )
-from .util import dumps_17g
+from .ingest import read_json, write_json
+from .util import config_from_dict, config_to_dict
 
 MODEL_FORMAT_VERSION = 1
+_MODEL_KEYS = ("format_version", "config", "range_scaler", "standardizer", "weights", "label_order")
 
 # coordinate updates below this projected-gradient magnitude are skipped
 _UPDATE_EPS = 1e-12
@@ -333,20 +333,11 @@ def cross_validate_c(
 
 
 def model_to_dict(model: LinearSvmModel) -> dict:
-    cfg = model.config
     doc = {
         "format_version": model.format_version,
         "config": {
-            "C": float(cfg.C),
-            "tolerance": float(cfg.tolerance),
-            "max_epochs": int(cfg.max_epochs),
-            "seed": int(cfg.seed),
-            "bias": bool(cfg.bias),
-            "normalization": {
-                "range_scale": model.norm_config.range_scale,
-                "rootsift": model.norm_config.rootsift,
-                "standardize": model.norm_config.standardize,
-            },
+            **config_to_dict(model.config),
+            "normalization": config_to_dict(model.norm_config),
         },
         "range_scaler": None,
         "standardizer": None,
@@ -372,20 +363,15 @@ def model_from_dict(doc: dict) -> LinearSvmModel:
         raise ValueError(f"unsupported model format_version: {version!r}")
     if tuple(doc.get("label_order", ())) != EMOTION_NAMES:
         raise ValueError(f"unexpected label order: {doc.get('label_order')!r}")
-    cfg_doc = doc["config"]
-    cfg = SvmTrainConfig(
-        C=float(cfg_doc["C"]),
-        tolerance=float(cfg_doc["tolerance"]),
-        max_epochs=int(cfg_doc["max_epochs"]),
-        seed=int(cfg_doc["seed"]),
-        bias=bool(cfg_doc["bias"]),
+    if sorted(doc) != sorted(_MODEL_KEYS):
+        raise ValueError(f"model keys {sorted(doc)}, expected {sorted(_MODEL_KEYS)}")
+    if not isinstance(doc["config"], dict):
+        raise ValueError("model key 'config': expected an object")
+    cfg_doc = dict(doc["config"])
+    norm_config = config_from_dict(
+        NormalizationConfig, cfg_doc.pop("normalization", {}), "model", "config.normalization."
     )
-    norm_doc = cfg_doc.get("normalization", {})
-    norm_config = NormalizationConfig(
-        range_scale=bool(norm_doc.get("range_scale", True)),
-        rootsift=bool(norm_doc.get("rootsift", True)),
-        standardize=bool(norm_doc.get("standardize", True)),
-    )
+    cfg = config_from_dict(SvmTrainConfig, cfg_doc, "model", "config.")
     range_scaler = None
     if doc.get("range_scaler") is not None:
         range_scaler = RangeScalerParams(
@@ -404,13 +390,8 @@ def model_from_dict(doc: dict) -> LinearSvmModel:
 
 def save_model(model: LinearSvmModel, path) -> None:
     """Write the model as a single JSON document (floats at 17 digits)."""
-    Path(path).write_text(dumps_17g(model_to_dict(model)), encoding="utf-8")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> LinearSvmModel:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))

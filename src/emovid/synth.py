@@ -24,6 +24,7 @@ from .core import (
     VideoSample,
 )
 from .ingest import Manifest, ManifestEntry, write_frame_features, write_manifest
+from .util import config_from_dict
 
 
 def _default_counts() -> dict:
@@ -41,12 +42,12 @@ class SynthConfig:
     """
 
     dim: int = 16
-    frames_range: tuple = (8, 16)
+    frames_range: tuple[int, int] = (8, 16)
     variants: int = 1
     class_separation: float = 10.0
     within_video_sigma: float = 1.0
     frame_sigma: float = 1.0
-    counts: dict = field(default_factory=_default_counts)
+    counts: dict[str, int | tuple[int, ...]] = field(default_factory=_default_counts)
     seed: int = 0
     stream_name: str = "frames"
 
@@ -79,17 +80,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthConfig":
-        known = {
-            "dim", "frames_range", "variants", "class_separation",
-            "within_video_sigma", "frame_sigma", "counts", "seed", "stream_name",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "frames_range" in kwargs:
-            kwargs["frames_range"] = tuple(kwargs["frames_range"])
-        return cls(**kwargs)
+        return config_from_dict(cls, doc, "synth config")
 
 
 @dataclass(frozen=True)

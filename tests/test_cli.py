@@ -6,6 +6,7 @@ import pytest
 from emovid.cli import main, read_descriptors
 from emovid.ensemble import read_predictions, read_scores, read_weight_row
 from emovid.ingest import write_audio_features, write_manifest, ManifestEntry
+from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict
 
 
 def run_ok(capsys, *argv):
@@ -314,3 +315,46 @@ def test_rerun_commands_byte_identical(synth_dir, capsys, tmp_path):
             )
         )
     assert outputs[0] == outputs[1]
+
+
+def model_doc(top=(), config=()):
+    doc = model_to_dict(LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig()))
+    doc["config"].update(config)
+    doc.update(top)
+    return doc
+
+
+BAD_DOCUMENTS = [
+    ("train", {"svm": {"C": 4, "tolerence": 1e-9}}, "svm.tolerence"),
+    ("train", {"streams": {"frames": {"aggregator": ["mean"]}}}, "streams.frames.aggregator"),
+    ("train", {"normalization": {"root_sift": False}}, "normalization.root_sift"),
+    ("train", {"cv": {"fold": 3}}, "cv.fold"),
+    ("train", {"ensemble": {"mode": "raw"}}, "ensemble.mode"),
+    ("train", {"streams": []}, "streams"),
+    ("train", {"svm": 3}, "svm"),
+    ("train", {"cv": {"grid": 5}}, "cv.grid"),
+    ("synth", {"frames_range": "ab"}, "frames_range"),
+    ("synth", {"dim": "x"}, "dim"),
+    ("synth", {"counts": 3}, "counts"),
+    ("predict", model_doc(config={"extra": 1}), "config.extra"),
+    ("predict", model_doc(top={"extra": 1}), "extra"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, key", BAD_DOCUMENTS, ids=[f"{c}-{k}" for c, _, k in BAD_DOCUMENTS]
+)
+def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    absent = str(tmp_path / "absent")
+    argv = {
+        "train": ["train", "--descriptors", absent, "--manifest", absent,
+                  "--config", str(path), "--out", absent],
+        "synth": ["synth", "--config", str(path), "--out", absent],
+        "predict": ["predict", "--model", str(path), "--descriptors", absent, "--out", absent],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(key) in err

@@ -1,19 +1,39 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from emovid.core import FrameFeatureSequence
+from emovid.aggregate import AGGREGATOR_NAMES, AggregationConfig
+from emovid.cli import CvConfig, PipelineConfig, ScoreConfig
+from emovid.core import EMOTION_NAMES, SPLITS, EmotionLabel, FrameFeatureSequence, ScoreMatrix
+from emovid.ensemble import SCORE_MODES, class_weights_from_counts
 from emovid.ingest import (
     ManifestEntry,
     load_audio_features,
     load_frame_features,
     load_manifest,
+    read_descriptors,
+    read_predictions,
+    read_scores,
+    read_weight_row,
     sniff_stream_kind,
     write_audio_features,
+    write_descriptors,
     write_frame_features,
     write_manifest,
+    write_predictions,
+    write_scores,
+    write_weights,
 )
+from emovid.normalize import NormalizationConfig
+from emovid.svm import SvmTrainConfig
+from emovid.synth import SynthConfig
+from emovid.util import config_from_dict, config_to_dict
 
 
 def manifest_line(vid, split="train", label="Happy", streams=None):
@@ -196,3 +216,129 @@ def test_sniff_stream_kind(tmp_path):
     other.write_text("id,x0\n")
     with pytest.raises(ValueError, match="header"):
         sniff_stream_kind(other)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_descriptors, "id,x0,x1\nv1,1,2\nv2,3,4\nv1,5,6\n"),
+        (read_scores, f"id,{','.join(EMOTION_NAMES)}\nv1{',0' * 7}\nv1{',1' * 7}\n"),
+        (read_predictions, "id,label\nv1,Happy\nv2,Sad\n\nv1,Fear\n"),
+    ],
+)
+def test_id_files_reject_duplicate_ids(tmp_path, reader, text):
+    path = tmp_path / "dup.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"line \d+: duplicate id 'v1'"):
+        reader(path)
+
+
+def test_descriptor_header_names_and_blank_lines(tmp_path):
+    path = tmp_path / "desc.csv"
+    path.write_text("id,a,b\nv1,1,2\n")
+    with pytest.raises(ValueError, match="header id,x0"):
+        read_descriptors(path)
+    path.write_text("id,x0,x1\nv1,1,2\n\nv2,3,4\n\n")
+    ids, matrix = read_descriptors(path)
+    assert ids == ("v1", "v2")
+    assert matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+# --- write-then-read and config round trips, property-based ---------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+def matrices(*shape):
+    return arrays(np.float64, st.tuples(*shape), elements=finite)
+
+
+video_ids = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=6),
+    min_size=1, max_size=6, unique=True,
+)
+
+aggregation_configs = st.builds(
+    AggregationConfig,
+    st.lists(st.sampled_from(AGGREGATOR_NAMES), min_size=1, unique=True).map(tuple),
+    st.booleans(),
+)
+normalization_configs = st.builds(NormalizationConfig, st.booleans(), st.booleans(), st.booleans())
+svm_configs = st.builds(
+    SvmTrainConfig, positive, positive, st.integers(1, 10**6), st.integers(0, 2**63 - 1),
+    st.booleans(),
+)
+pipeline_configs = st.builds(
+    PipelineConfig,
+    st.dictionaries(st.text(min_size=1, max_size=5), aggregation_configs, min_size=1, max_size=3),
+    normalization_configs,
+    svm_configs,
+    st.builds(ScoreConfig, st.sampled_from(SCORE_MODES)),
+    st.builds(CvConfig, st.lists(positive, min_size=1, max_size=8).map(tuple), st.integers(2, 10)),
+)
+synth_configs = st.integers(1, 50).flatmap(
+    lambda lo: st.builds(
+        SynthConfig,
+        dim=st.integers(1, 64),
+        frames_range=st.tuples(st.just(lo), st.integers(lo, 60)),
+        variants=st.integers(1, 4),
+        class_separation=st.floats(0, 1e6),
+        within_video_sigma=st.floats(0, 1e6),
+        frame_sigma=st.floats(0, 1e6),
+        counts=st.dictionaries(
+            st.sampled_from(SPLITS),
+            st.integers(0, 20) | st.tuples(*[st.integers(0, 20)] * 7),
+        ),
+        seed=st.integers(0, 2**63 - 1),
+        stream_name=st.text(min_size=1, max_size=8),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    frames=matrices(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)),
+    vector=matrices(st.integers(1, 5)),
+    ids=video_ids,
+    data=st.data(),
+    configs=st.tuples(pipeline_configs, svm_configs, normalization_configs, synth_configs),
+)
+def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, configs):
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    n = len(ids)
+    descriptors = data.draw(matrices(st.just(n), st.integers(1, 4)))
+    scores = data.draw(matrices(st.just(n), st.just(7)))
+    counts = data.draw(st.lists(st.floats(0, 1e6), min_size=7, max_size=7).filter(any))
+    labels = data.draw(st.lists(st.sampled_from(list(EmotionLabel)), min_size=n, max_size=n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+
+        write_frame_features(FrameFeatureSequence("v", frames), path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *data.draw(st.permutations(rows))]) + "\n")
+        assert same_bits(load_frame_features(path).frames, frames)
+
+        write_audio_features(vector, path)
+        assert same_bits(load_audio_features(path), vector)
+
+        write_descriptors(ids, descriptors, path)
+        got_ids, got = read_descriptors(path)
+        assert got_ids == tuple(ids) and same_bits(got, descriptors)
+
+        write_scores(ScoreMatrix(tuple(ids), scores), path)
+        got = read_scores(path)
+        assert got.video_ids == tuple(ids) and same_bits(got.scores, scores)
+
+        class_weights = class_weights_from_counts(counts)
+        write_weights(class_weights, path)
+        assert same_bits(read_weight_row(path), class_weights.weights)
+
+        write_predictions(ids, labels, path)
+        assert read_predictions(path) == (tuple(ids), labels)
+
+    for config in configs:
+        doc = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(type(config), doc) == config
