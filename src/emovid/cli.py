@@ -3,12 +3,14 @@ ensemble, weigh, evaluate.
 
 Configs are JSON documents with every field defaulted; flags override
 config values, and all randomness flows from one --seed flag mixed per
-stage. Commands exit nonzero with a single-line diagnostic on stderr.
+stage. Commands exit nonzero with a single-line diagnostic on stderr;
+warnings logged by the library print as one "warning:" line each.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -304,14 +306,25 @@ def cmd_evaluate(args) -> int:
     ids, predicted = read_predictions(args.predictions)
     manifest = load_manifest(args.manifest)
     entry_of = {entry.video_id: entry for entry in manifest.entries}
-    splits = _parse_splits(args.splits) if args.splits is not None else None
+    for vid in ids:
+        if vid not in entry_of:
+            raise ValueError(f"predicted video {vid!r} not in manifest")
+    if args.splits is not None:
+        splits = _parse_splits(args.splits)
+    else:
+        touched = {entry_of[vid].split for vid in ids}
+        splits = tuple(s for s in SPLITS if s in touched)
+    expected = [entry.video_id for entry in manifest.entries if entry.split in splits]
+    missing = len(set(expected) - set(ids))
+    if missing:
+        raise ValueError(
+            f"{missing} of {len(expected)} videos in splits {','.join(splits)} have no prediction"
+        )
     truths = []
     kept = []
     for vid, label in zip(ids, predicted):
-        if vid not in entry_of:
-            raise ValueError(f"predicted video {vid!r} not in manifest")
         entry = entry_of[vid]
-        if splits is not None and entry.split not in splits:
+        if entry.split not in splits:
             continue
         if entry.label_name is None:
             raise ValueError(f"video {vid!r} has no ground-truth label")
@@ -408,12 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("emovid")
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger.addHandler(warnings)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         message = str(exc).replace("\n", "; ")
         print(f"error: {message}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(warnings)
 
 
 if __name__ == "__main__":

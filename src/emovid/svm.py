@@ -8,15 +8,19 @@ by coordinate descent on the L1-hinge dual
 
     max_a  sum_i a_i - 1/2 ||sum_i a_i y_i x_i||^2,  0 <= a_i <= C,
 
-cycling coordinates in a freshly shuffled order each epoch. Each update is
-the exact single-variable minimizer clipped to the box, so the dual
-objective never decreases. Multiclass is one-vs-rest; model selection is
+cycling coordinates in a freshly shuffled order each pass and shrinking
+the set of coordinates it visits (Hsieh et al. 2008). Each update is the
+exact single-variable minimizer clipped to the box, so the dual objective
+never decreases. Multiclass is one-vs-rest; model selection is
 stratified k-fold cross-validation over a grid of C values with the
 normalization chain re-fit inside every fold.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +42,8 @@ _MODEL_KEYS = ("format_version", "config", "range_scaler", "standardizer", "weig
 
 # coordinate updates below this projected-gradient magnitude are skipped
 _UPDATE_EPS = 1e-12
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class SolverInfo:
     """Diagnostics from one binary solve."""
 
     alpha: np.ndarray
-    epochs: int
+    epochs: int  # gradient evaluations in full-pass units, rounded up
     converged: bool
     dual_objectives: tuple = ()
 
@@ -136,12 +142,17 @@ def train_binary(
 ):
     """Train one binary SVM; returns the weight vector.
 
-    The coordinate order is reshuffled every epoch with a generator seeded
-    from cfg.seed; training stops once the largest projected-gradient
-    violation in an epoch drops below cfg.tolerance, or at max_epochs.
-    With debug=True the dual objective is recomputed each epoch and checked
-    to be non-decreasing with every alpha inside [0, C]. With
-    full_output=True returns (w, SolverInfo).
+    Each pass visits the active coordinates in a fresh order drawn from a
+    generator seeded with cfg.seed. Passes shrink the active set (Hsieh et
+    al. 2008): a coordinate at 0 whose gradient exceeds the previous pass's
+    largest projected gradient, or at C below its smallest, is set aside.
+    Once the active coordinates all meet cfg.tolerance every coordinate is
+    restored, and the solve converges only after a full pass whose largest
+    projected-gradient violation is below cfg.tolerance. Work is capped at
+    cfg.max_epochs * n gradient evaluations; SolverInfo.epochs counts them in
+    full-pass units, rounded up. With debug=True the dual objective is
+    recomputed after every pass and checked to be non-decreasing with every
+    alpha inside [0, C]. With full_output=True returns (w, SolverInfo).
 
     Both classes need not be present; an all-one-class problem is legal.
     """
@@ -151,53 +162,80 @@ def train_binary(
     n = X.shape[0]
     C = float(cfg.C)
 
-    sq_norms = np.einsum("ij,ij->i", X, X)
-    alpha = np.zeros(n)
+    # scalar bookkeeping in Python floats; rows stay numpy views for the dot
+    rows = list(X)
+    ys = y.tolist()
+    sq_norms = np.einsum("ij,ij->i", X, X).tolist()
+    alpha = [0.0] * n
     w = np.zeros(X.shape[1])
     rng = np.random.default_rng(cfg.seed)
 
     dual_prev = 0.0  # dual value at alpha = 0
     dual_trace = []
     converged = False
-    epochs = 0
-    for _ in range(cfg.max_epochs):
-        epochs += 1
-        order = rng.permutation(n)
-        max_violation = 0.0
+    budget = cfg.max_epochs * n
+    evaluations = 0
+    active = list(range(n))
+    # shrinking thresholds from the previous pass; infinite shrinks nothing
+    shrink_above, shrink_below = math.inf, -math.inf
+    while evaluations < budget:
+        order = [active[k] for k in rng.permutation(len(active)).tolist()]
+        order = order[: budget - evaluations]
+        evaluations += len(order)
+        full_pass = len(order) == n
+        kept = []
+        pg_max, pg_min = -math.inf, math.inf
         for i in order:
-            xi = X[i]
-            grad = y[i] * float(w @ xi) - 1.0
+            xi = rows[i]
+            yi = ys[i]
+            grad = yi * float(w.dot(xi)) - 1.0
             a = alpha[i]
             if a <= 0.0:
+                if grad > shrink_above:
+                    continue
                 projected = min(grad, 0.0)
             elif a >= C:
+                if grad < shrink_below:
+                    continue
                 projected = max(grad, 0.0)
             else:
                 projected = grad
-            violation = abs(projected)
-            if violation > max_violation:
-                max_violation = violation
-            if violation > _UPDATE_EPS and sq_norms[i] > 0.0:
+            kept.append(i)
+            if projected > pg_max:
+                pg_max = projected
+            if projected < pg_min:
+                pg_min = projected
+            if abs(projected) > _UPDATE_EPS and sq_norms[i] > 0.0:
                 new_a = min(max(a - grad / sq_norms[i], 0.0), C)
                 delta = new_a - a
                 if delta != 0.0:
-                    w += (delta * y[i]) * xi
+                    w += (delta * yi) * xi
                     alpha[i] = new_a
         if debug:
-            assert (alpha >= 0.0).all() and (alpha <= C).all(), "alpha left [0, C]"
-            dual = dual_objective(alpha, X, y)
+            alpha_now = np.array(alpha)
+            assert (alpha_now >= 0.0).all() and (alpha_now <= C).all(), "alpha left [0, C]"
+            dual = dual_objective(alpha_now, X, y)
             assert dual >= dual_prev - 1e-9 * (1.0 + abs(dual_prev)), (
                 f"dual objective decreased: {dual_prev} -> {dual}"
             )
             dual_trace.append(dual)
             dual_prev = dual
-        if max_violation < cfg.tolerance:
-            converged = True
-            break
+        if max(pg_max, -pg_min) < cfg.tolerance:
+            if full_pass:
+                converged = True
+                break
+            active = list(range(n))
+            shrink_above, shrink_below = math.inf, -math.inf
+        else:
+            active = kept
+            shrink_above = pg_max if pg_max > 0.0 else math.inf
+            shrink_below = pg_min if pg_min < 0.0 else -math.inf
 
     # recover w exactly from the duals, discarding incremental-update drift
+    alpha = np.array(alpha)
     w = (alpha * y) @ X
     if full_output:
+        epochs = -(-evaluations // n)
         return w, SolverInfo(alpha, epochs, converged, tuple(dual_trace))
     return w
 
@@ -210,12 +248,16 @@ def train_ovr(
     range_scaler: RangeScalerParams | None = None,
     standardizer: StandardizerParams | None = None,
     debug: bool = False,
-) -> LinearSvmModel:
+    full_output: bool = False,
+):
     """Train 7 independent class-vs-rest problems with identical config.
 
     Each class gets a fresh generator seeded with cfg.seed + class index.
     X is expected to be already normalized; the fitted normalization
-    params are carried on the model for serialization.
+    params are carried on the model for serialization. Returns the model;
+    solves stopped at cfg.max_epochs are logged as one warning. With
+    full_output=True returns (model, the 7 SolverInfo) and leaves that
+    report to the caller.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
@@ -224,12 +266,35 @@ def train_ovr(
     if X.shape[0] < 1:
         raise ValueError("need at least one training sample")
     weight_rows = []
+    infos = []
     for c in range(NUM_CLASSES):
         y = np.where(label_idx == c, 1.0, -1.0)
-        w = train_binary(X, y, replace(cfg, seed=cfg.seed + c), debug=debug)
+        w, info = train_binary(
+            X, y, replace(cfg, seed=cfg.seed + c), debug=debug, full_output=True
+        )
         weight_rows.append(w)
-    return LinearSvmModel(
-        np.stack(weight_rows), cfg, norm_config, range_scaler, standardizer
+        infos.append(info)
+    model = LinearSvmModel(np.stack(weight_rows), cfg, norm_config, range_scaler, standardizer)
+    if full_output:
+        return model, tuple(infos)
+    _warn_capped(cfg, [(cfg.C, infos)])
+    return model
+
+
+def _warn_capped(cfg: SvmTrainConfig, runs) -> None:
+    """Log one warning naming every solve that stopped at cfg.max_epochs.
+
+    runs holds (C, the 7 per-class SolverInfo of one train_ovr call).
+    """
+    capped = [(c_value, k) for c_value, infos in runs
+              for k, info in enumerate(infos) if not info.converged]
+    if not capped:
+        return
+    c_values = ",".join(f"{c:g}" for c in sorted({c for c, _ in capped}))
+    classes = ",".join(EMOTION_NAMES[k] for k in sorted({k for _, k in capped}))
+    log.warning(
+        "%d of %d solves stopped at max_epochs=%d before converging (C=%s; classes %s)",
+        len(capped), NUM_CLASSES * len(runs), cfg.max_epochs, c_values, classes,
     )
 
 
@@ -293,7 +358,8 @@ def cross_validate_c(
 
     For each fold the normalization chain is re-fit on that fold's
     training portion only. Returns (best C, list of per-C mean accuracies
-    aligned with the grid); ties go to the smallest C.
+    aligned with the grid); ties go to the smallest C. Solves stopped at
+    cfg.max_epochs are logged as one warning for the whole grid.
     """
     grid = [float(c) for c in grid]
     if not grid:
@@ -319,14 +385,17 @@ def cross_validate_c(
         )
 
     mean_accuracies = []
+    runs = []
     for c_value in grid:
         fold_accs = []
         for train_x, train_y, val_x, val_y in prepared:
-            model = train_ovr(train_x, train_y, replace(cfg, C=c_value))
+            model, infos = train_ovr(train_x, train_y, replace(cfg, C=c_value), full_output=True)
+            runs.append((c_value, infos))
             scores = decision_scores(model, val_x).scores
             predicted = scores.argmax(axis=1)
             fold_accs.append(float((predicted == val_y).mean()))
         mean_accuracies.append(float(np.mean(fold_accs)))
+    _warn_capped(cfg, runs)
 
     best = max(range(len(grid)), key=lambda i: (mean_accuracies[i], -grid[i]))
     return grid[best], mean_accuracies
@@ -372,20 +441,30 @@ def model_from_dict(doc: dict) -> LinearSvmModel:
         NormalizationConfig, cfg_doc.pop("normalization", {}), "model", "config.normalization."
     )
     cfg = config_from_dict(SvmTrainConfig, cfg_doc, "model", "config.")
-    range_scaler = None
-    if doc.get("range_scaler") is not None:
-        range_scaler = RangeScalerParams(
-            np.asarray(doc["range_scaler"]["mins"], dtype=np.float64),
-            np.asarray(doc["range_scaler"]["maxs"], dtype=np.float64),
-        )
-    standardizer = None
-    if doc.get("standardizer") is not None:
-        standardizer = StandardizerParams(
-            np.asarray(doc["standardizer"]["means"], dtype=np.float64),
-            np.asarray(doc["standardizer"]["stds"], dtype=np.float64),
-        )
+    range_scaler = _params_from_dict(RangeScalerParams, doc["range_scaler"], "range_scaler")
+    standardizer = _params_from_dict(StandardizerParams, doc["standardizer"], "standardizer")
     weights = np.asarray(doc["weights"], dtype=np.float64)
     return LinearSvmModel(weights, cfg, norm_config, range_scaler, standardizer)
+
+
+def _params_from_dict(cls, doc, key: str):
+    """A model's range_scaler or standardizer: null, or an object holding
+    exactly cls's fields, each a list of numbers."""
+    if doc is None:
+        return None
+    if not isinstance(doc, dict):
+        raise ValueError(f"model key {key!r}: expected an object or null, got {doc!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(f"{key}.{name}" for name in doc if name not in names)
+    if unknown:
+        raise ValueError(f"unknown model keys: {unknown}")
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"model key '{key}.{name}': missing")
+        value = doc[name]
+        if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
+            raise ValueError(f"model key '{key}.{name}': expected a list of numbers")
+    return cls(*(np.asarray(doc[name], dtype=np.float64) for name in names))
 
 
 def save_model(model: LinearSvmModel, path) -> None:

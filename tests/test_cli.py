@@ -267,6 +267,52 @@ def test_evaluate_perfect_predictions_renders_100(synth_dir, capsys, tmp_path):
     assert out.startswith("accuracy: 100.00")
 
 
+def test_evaluate_refuses_partial_predictions(synth_dir, capsys, tmp_path):
+    ds = synth_dir / "ds"
+    manifest_path = ds / "manifest.jsonl"
+    from emovid.ingest import load_manifest
+    from emovid.ensemble import write_predictions
+    from emovid.core import label_from_name
+
+    val = [e for e in load_manifest(manifest_path).entries if e.split == "val"]
+    assert len(val) == 21
+    write_predictions(
+        [e.video_id for e in val[2:]],
+        [label_from_name(e.label_name) for e in val[2:]],
+        tmp_path / "pred.csv",
+    )
+    err = run_fail(capsys, "evaluate", "--predictions", str(tmp_path / "pred.csv"),
+                   "--manifest", str(manifest_path))
+    assert "2 of 21 videos in splits val have no prediction" in err
+    write_predictions(
+        [e.video_id for e in val], [label_from_name(e.label_name) for e in val],
+        tmp_path / "full.csv",
+    )
+    err = run_fail(capsys, "evaluate", "--predictions", str(tmp_path / "full.csv"),
+                   "--manifest", str(manifest_path), "--splits", "val,test")
+    assert "21 of 42 videos in splits val,test" in err
+
+
+def test_capped_solves_warn_once_and_exit_zero(synth_dir, capsys, tmp_path):
+    ds = synth_dir / "ds"
+    manifest = str(ds / "manifest.jsonl")
+    run_ok(capsys, "aggregate", "--manifest", manifest, "--out", str(tmp_path / "d"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"svm": {"max_epochs": 1}, "cv": {"grid": [0.5, 64.0]}}))
+    desc = str(tmp_path / "d" / "frames.csv")
+    for argv in (
+        ["train", "--descriptors", desc, "--manifest", manifest, "--config", str(config),
+         "--c", "64", "--out", str(tmp_path / "m.json")],
+        ["cv", "--descriptors", desc, "--manifest", manifest, "--config", str(config)],
+    ):
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("warning: ")
+        assert "solves stopped at max_epochs=1" in lines[0]
+        assert "64;" in lines[0] and "classes Angry," in lines[0]
+
+
 def test_ensemble_raw_mode_rejects_weights(synth_dir, capsys, tmp_path):
     ds = synth_dir / "ds"
     manifest = str(ds / "manifest.jsonl")
@@ -338,6 +384,12 @@ BAD_DOCUMENTS = [
     ("synth", {"counts": 3}, "counts"),
     ("predict", model_doc(config={"extra": 1}), "config.extra"),
     ("predict", model_doc(top={"extra": 1}), "extra"),
+    ("predict", model_doc(top={"range_scaler": {"maxs": [1.0, 1.0]}}), "range_scaler.mins"),
+    ("predict", model_doc(top={"range_scaler": {"mins": ["a", 0], "maxs": [1.0, 1.0]}}),
+     "range_scaler.mins"),
+    ("predict", model_doc(top={"standardizer": {"means": [0.0, 0.0], "stds": [1.0, 1.0],
+                                                "scale": 2.0}}), "standardizer.scale"),
+    ("predict", model_doc(top={"standardizer": [0.0]}), "standardizer"),
 ]
 
 

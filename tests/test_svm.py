@@ -89,6 +89,60 @@ def test_solver_matches_subgradient_oracle():
     assert (np.sign(pair_x @ pair_w) == np.sign(pair_x @ pair_oracle)).all()
 
 
+def _max_kkt_violation(X, y, w, alpha, C):
+    """Largest |projected gradient| of the dual at alpha, with the gradient
+    y_i w.x_i - 1 recomputed from the returned w."""
+    grad = y * (X @ w) - 1.0
+    projected = np.where(
+        alpha <= 0.0, np.minimum(grad, 0.0), np.where(alpha >= C, np.maximum(grad, 0.0), grad)
+    )
+    return float(np.abs(projected).max())
+
+
+@pytest.mark.parametrize(
+    "data, C",
+    [("margin", 1.0), ("margin", 10.0),
+     ("clusters", 1.0), ("overlapping clusters", 0.05), ("overlapping clusters", 1.0)],
+)
+def test_converged_solves_meet_kkt_certificate(data, C):
+    if data == "margin":
+        X, y, _ = margin_suite()
+        problems = [y]
+    else:
+        separation, sigma = (10.0, 0.5) if data == "clusters" else (2.0, 1.0)
+        X, labels = cluster_labels_matrix(
+            n_per_class=20, d=12, separation=separation, sigma=sigma, seed=6
+        )
+        problems = [np.where(np.asarray(labels) == c, 1.0, -1.0) for c in range(7)]
+    cfg = SvmTrainConfig(C=C, seed=1)
+    augmented = add_bias_column(X)
+    converged = 0
+    for y in problems:
+        w, info = train_binary(X, y, cfg, full_output=True)
+        if info.converged:
+            converged += 1
+            assert _max_kkt_violation(augmented, y, w, info.alpha, C) <= 2 * cfg.tolerance
+    assert converged >= 1
+
+
+def test_shrinking_converges_well_inside_the_cap():
+    # 1000 full passes do not converge here; the shrunk passes need < 100
+    X, y, _ = margin_suite()
+    w, info = train_binary(X, y, SvmTrainConfig(C=0.1, seed=1), full_output=True)
+    assert info.converged
+    assert info.epochs < 100
+
+
+@pytest.mark.parametrize("max_epochs", [1, 3])
+def test_capped_solve_reports_the_cap(max_epochs):
+    X, y, _ = margin_suite()
+    cfg = SvmTrainConfig(C=1.0, seed=1, max_epochs=max_epochs)
+    w, info = train_binary(X, y, cfg, debug=True, full_output=True)
+    assert not info.converged
+    assert info.epochs == max_epochs
+    assert (info.alpha >= 0).all() and (info.alpha <= cfg.C).all()
+
+
 def test_train_binary_deterministic():
     X, y, _ = margin_suite(n=60, seed=3)
     cfg = SvmTrainConfig(C=2.0, seed=9)
