@@ -78,12 +78,14 @@ def aggregate_std(seq: FrameFeatureSequence) -> np.ndarray:
 
 def aggregate_min(seq: FrameFeatureSequence) -> np.ndarray:
     """Per-dimension minimum over frames."""
-    return _single_variant(seq).min(axis=0)
+    # min(-0.0, 0.0) is whichever comes first; adding 0.0 makes every zero
+    # +0.0, so any frame permutation yields the same bits
+    return _single_variant(seq).min(axis=0) + 0.0
 
 
 def aggregate_max(seq: FrameFeatureSequence) -> np.ndarray:
-    """Per-dimension maximum over frames."""
-    return _single_variant(seq).max(axis=0)
+    """Per-dimension maximum over frames (zeros as in aggregate_min)."""
+    return _single_variant(seq).max(axis=0) + 0.0
 
 
 def aggregate_fft_mean(seq: FrameFeatureSequence) -> np.ndarray:

@@ -22,9 +22,11 @@ reproduces every matrix bit-exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .core import (
     ScoreMatrix,
     label_from_name,
 )
-from .util import dumps_17g, fmt17
+from .util import dumps_17g
 
 
 @dataclass(frozen=True)
@@ -152,20 +154,35 @@ def write_manifest(entries, path) -> None:
 # --- CSV ------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _numbered_text(prefix: str, count: int) -> str:
+    """The text p0,p1,...,p{count-1}, built once per (prefix, count); it
+    takes a tenth of the memory of the names as a tuple."""
+    return ",".join([f"{prefix}{j}" for j in range(count)])
+
+
 def _numbered(prefix: str, count: int) -> tuple:
-    return tuple(f"{prefix}{j}" for j in range(count))
+    return tuple(_numbered_text(prefix, count).split(","))
+
+
+@functools.lru_cache(maxsize=16)
+def _float_format(count: int) -> str:
+    """The %-format of a row of count floats at 17 significant digits;
+    '%.17g' % x gives the same text as util.fmt17(x)."""
+    return ",".join(["%.17g"] * count)
 
 
 def _row_values(row, width: int, start: int, where) -> np.ndarray:
-    """The float cells row[start:] of a row that must have width cells."""
+    """The float cells row[start:] of a row that must have width cells;
+    where() names the row in an error message."""
     if len(row) != width:
-        raise ValueError(f"{where}: {len(row)} fields, expected {width}")
+        raise ValueError(f"{where()}: {len(row)} fields, expected {width}")
     try:
         values = np.array(row[start:], dtype=np.float64)
     except ValueError:
-        raise ValueError(f"{where}: non-numeric value") from None
+        raise ValueError(f"{where()}: non-numeric value") from None
     if not np.isfinite(values).all():
-        raise ValueError(f"{where}: non-finite value")
+        raise ValueError(f"{where()}: non-finite value")
     return values
 
 
@@ -183,39 +200,60 @@ def _read_rows(path, fixed, features, unique: bool = False):
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fp:
         reader = csv.reader(fp)
+
+        def where():
+            return f"{path}: line {reader.line_num}"
+
         if fixed is None:
             width, start = len(features), 0
         else:
             header = tuple(next(reader, ()))
+            names = header[len(fixed):]
             if isinstance(features, str):
-                expected = fixed + _numbered(features, max(1, len(header) - len(fixed)))
+                # the expected text has count - 1 commas, so no name may hold one
+                matches = ",".join(names) == _numbered_text(features, max(1, len(names)))
                 shown = fixed + (f"{features}0", "...")
             else:
-                expected = shown = fixed + features
-            if header != expected:
+                matches = names == features
+                shown = fixed + features
+            if header[:len(fixed)] != fixed or not matches:
                 raise ValueError(f"{path}: expected header {','.join(shown)}")
             width, start = len(header), len(fixed)
         for row in reader:
             if not row:
                 continue
-            where = f"{path}: line {reader.line_num}"
             values = _row_values(row, width, start, where)
             if unique:
                 if row[0] in seen:
-                    raise ValueError(f"{where}: duplicate {fixed[0]} {row[0]!r}")
+                    raise ValueError(f"{where()}: duplicate {fixed[0]} {row[0]!r}")
                 seen.add(row[0])
             yield reader.line_num, row, values
 
 
 def _write_rows(path, header, rows) -> None:
     """Write a CSV: the header (None for none), then for each (cells,
-    values) pair the text cells followed by the floats at 17 digits."""
+    values) pair the text cells followed by the floats at 17 digits.
+
+    Text cells are quoted by csv.writer as a whole row would be; the floats
+    of a row are formatted by one %-format, never quoted.
+    """
+    quoted = []  # csv.writer writes each row with one write()
+    cell_writer = csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n")
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         if header is not None:
             writer.writerow(header)
         for cells, values in rows:
-            writer.writerow([*cells, *map(fmt17, values)])
+            values = np.asarray(values, dtype=np.float64).tolist()
+            if not values:
+                writer.writerow(cells)
+                continue
+            line = _float_format(len(values)) % tuple(values)
+            if cells:
+                # "a,b,\n": the cells, quoted, and the separator before the floats
+                cell_writer.writerow([*cells, ""])
+                line = quoted.pop()[:-1] + line
+            fp.write(line + "\n")
 
 
 def _read_one_row(path, fixed, features) -> np.ndarray:
@@ -333,7 +371,7 @@ def read_weight_row(path) -> np.ndarray:
 def parse_weight_row(text: str) -> np.ndarray:
     """The 7 numbers of a weights row given inline, e.g. "98,40,70,...";
     checked like a row of a weights file."""
-    return _row_values(text.split(","), NUM_CLASSES, 0, repr(text))
+    return _row_values(text.split(","), NUM_CLASSES, 0, lambda: repr(text))
 
 
 def write_weights(weights: ClassWeights, path) -> None:

@@ -9,6 +9,7 @@ output. Columns that are degenerate at fit time map to 0.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .core import VideoDescriptor, _frozen_array
 
 # columns whose fitted std falls below this are treated as constant
 DEGENERATE_STD = 1e-12
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +176,8 @@ def fit_normalization(train, config: NormalizationConfig = NormalizationConfig()
     """Fit the enabled stages on the training set only.
 
     The standardizer is fit on the training data after range scaling and
-    rootsift, i.e. on what it will actually see at apply time.
+    rootsift, i.e. on what it will actually see at apply time. Columns
+    whose fitted std is below DEGENERATE_STD are logged as one warning.
     """
     matrix = _as_matrix(train)
     range_scaler = None
@@ -182,7 +186,13 @@ def fit_normalization(train, config: NormalizationConfig = NormalizationConfig()
         matrix = apply_range_scaler(matrix, range_scaler)
     if config.rootsift:
         matrix = rootsift(matrix)
-    standardizer = fit_standardizer(matrix) if config.standardize else None
+    standardizer = None
+    if config.standardize:
+        standardizer = fit_standardizer(matrix)
+        degenerate = int((standardizer.stds < DEGENERATE_STD).sum())
+        if degenerate:
+            log.warning("%d of %d columns have a fitted std below %g and standardize to 0",
+                        degenerate, standardizer.dim, DEGENERATE_STD)
     return NormalizationParams(config, range_scaler, standardizer)
 
 

@@ -252,25 +252,30 @@ def train_ovr(
 ):
     """Train 7 independent class-vs-rest problems with identical config.
 
-    Each class gets a fresh generator seeded with cfg.seed + class index.
-    X is expected to be already normalized; the fitted normalization
-    params are carried on the model for serialization. Returns the model;
-    solves stopped at cfg.max_epochs are logged as one warning. With
-    full_output=True returns (model, the 7 SolverInfo) and leaves that
-    report to the caller.
+    Each class gets a fresh generator seeded with cfg.seed + class index,
+    so row c of the weights equals train_binary(X, y_c, cfg with seed
+    cfg.seed + c). X is expected to be already normalized; the fitted
+    normalization params are carried on the model for serialization.
+    Returns the model; solves stopped at cfg.max_epochs are logged as one
+    warning. With full_output=True returns (model, the 7 SolverInfo) and
+    leaves that report to the caller.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
     if X.shape[0] != label_idx.size:
         raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
-    if X.shape[0] < 1:
-        raise ValueError("need at least one training sample")
+    # checked and given its bias column once; each class's train_binary call
+    # solves on this matrix and only re-checks it
+    X, _ = _validate_binary_inputs(X, np.ones(label_idx.size))
+    if cfg.bias:
+        X = add_bias_column(X)
+    solve_cfg = replace(cfg, bias=False)
     weight_rows = []
     infos = []
     for c in range(NUM_CLASSES):
         y = np.where(label_idx == c, 1.0, -1.0)
         w, info = train_binary(
-            X, y, replace(cfg, seed=cfg.seed + c), debug=debug, full_output=True
+            X, y, replace(solve_cfg, seed=cfg.seed + c), debug=debug, full_output=True
         )
         weight_rows.append(w)
         infos.append(info)

@@ -32,3 +32,61 @@ def cluster_labels_matrix(n_per_class, d, separation, sigma, seed):
         rows.append(centroids[c] + sigma * rng.standard_normal((n_per_class, d)))
         labels.extend([c] * n_per_class)
     return np.vstack(rows), labels
+
+
+def reference_write_rows(path, header, rows):
+    """The per-cell CSV writer the ingest writers must match byte for byte:
+    csv.writer over the text cells and every float formatted by fmt17."""
+    import csv
+
+    from emovid.util import fmt17
+
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for cells, values in rows:
+            writer.writerow([*cells, *map(fmt17, values)])
+
+
+def reference_read_rows(path, fixed, features, unique=False):
+    """The row-at-a-time CSV reader the ingest reader must match, errors
+    included: each row is checked for width, numbers, finiteness and a
+    duplicate id before it is yielded as (line number, fixed cells, values)."""
+    import csv
+    from pathlib import Path
+
+    path = Path(path)
+    seen = set()
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
+        if fixed is None:
+            width, start = len(features), 0
+        else:
+            header = tuple(next(reader, ()))
+            if isinstance(features, str):
+                count = max(1, len(header) - len(fixed))
+                expected = fixed + tuple(f"{features}{j}" for j in range(count))
+                shown = fixed + (f"{features}0", "...")
+            else:
+                expected = shown = fixed + features
+            if header != expected:
+                raise ValueError(f"{path}: expected header {','.join(shown)}")
+            width, start = len(header), len(fixed)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != width:
+                raise ValueError(f"{where}: {len(row)} fields, expected {width}")
+            try:
+                values = np.array(row[start:], dtype=np.float64)
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric value") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{where}: non-finite value")
+            if unique:
+                if row[0] in seen:
+                    raise ValueError(f"{where}: duplicate {fixed[0]} {row[0]!r}")
+                seen.add(row[0])
+            yield reader.line_num, row[:start], values

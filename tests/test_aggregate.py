@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emovid.aggregate import (
     AggregationConfig,
@@ -221,3 +224,21 @@ def test_outputs_finite_for_finite_inputs():
     seq = seq_from(frames)
     cfg = AggregationConfig(("mean", "std", "min", "max", "fft"))
     assert np.isfinite(build_video_descriptor(seq, cfg).features).all()
+
+
+frame_grids = st.integers(1, 30).flatmap(lambda t: arrays(
+    np.float64, st.tuples(st.just(t), st.integers(1, 3), st.integers(1, 4)),
+    elements=st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=frame_grids.flatmap(
+    lambda f: st.tuples(st.just(f), st.permutations(range(f.shape[0])))))
+@example(case=(np.array([[[0.0]], [[-0.0]]]), [1, 0]))  # min/max of signed zeros
+def test_stat_blocks_bit_exact_under_any_frame_permutation(case):
+    frames, order = case
+    cfg = AggregationConfig(("mean", "std", "min", "max"))
+    base = build_video_descriptor(FrameFeatureSequence("v", frames), cfg).features
+    permuted = build_video_descriptor(FrameFeatureSequence("v", frames[list(order)]), cfg).features
+    assert base.tobytes() == permuted.tobytes()

@@ -410,3 +410,26 @@ def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(key) in err
+
+
+def test_constant_column_warns_on_train(capsys, tmp_path):
+    rng = np.random.default_rng(8)
+    entries = []
+    for name in ("Angry", "Happy", "Sad"):
+        for k in range(3):
+            vid = f"v_{name}_{k}"
+            vector = rng.standard_normal(4)
+            vector[2] = 0.5  # the same in every video
+            write_audio_features(vector, tmp_path / f"{vid}.csv")
+            entries.append(ManifestEntry(vid, "train", name, {"audio": f"{vid}.csv"}))
+    write_manifest(entries, tmp_path / "m.jsonl")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"streams": {"audio": {}}}))
+    run_ok(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"),
+           "--config", str(config), "--out", str(tmp_path / "d"))
+    assert main(["train", "--descriptors", str(tmp_path / "d" / "audio.csv"),
+                 "--manifest", str(tmp_path / "m.jsonl"), "--config", str(config),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 1 of 4 columns have a fitted std below 1e-12 and standardize to 0"
+    ]

@@ -1,13 +1,18 @@
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from helpers import reference_read_rows, reference_write_rows
 
+from emovid import ingest
 from emovid.aggregate import AGGREGATOR_NAMES, AggregationConfig
 from emovid.cli import CvConfig, PipelineConfig, ScoreConfig
 from emovid.core import EMOTION_NAMES, SPLITS, EmotionLabel, FrameFeatureSequence, ScoreMatrix
@@ -17,6 +22,7 @@ from emovid.ingest import (
     load_audio_features,
     load_frame_features,
     load_manifest,
+    parse_weight_row,
     read_descriptors,
     read_predictions,
     read_scores,
@@ -342,3 +348,160 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
     for config in configs:
         doc = json.loads(json.dumps(config_to_dict(config)))
         assert config_from_dict(type(config), doc) == config
+
+
+# --- the row writer and reader against their references -------------------------
+
+special_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1, 1e16, -1e-300,
+])
+any_floats = st.floats() | special_floats
+# ids that csv.writer must quote (",", '"', newlines) or leaves bare, the empty one included
+awkward_ids = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "7", "é"]), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(awkward_ids, max_size=3).map(tuple),
+            st.lists(any_floats, max_size=6).map(lambda v: np.array(v, dtype=np.float64)),
+        ),
+        max_size=4,
+    ),
+    header=st.none() | st.lists(awkward_ids, max_size=4).map(tuple),
+)
+def test_row_writer_bytes_equal_reference(rows, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        ingest._write_rows(got, header, rows)
+        reference_write_rows(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    frames=matrices(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3)),
+    vector=arrays(np.float64, st.integers(1, 5), elements=any_floats),
+    ids=st.lists(awkward_ids, min_size=1, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_every_table_writer_bytes_equal_reference(frames, vector, ids, data):
+    n = len(ids)
+    descriptors = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 4))),
+                                   elements=any_floats))
+    scores = data.draw(matrices(st.just(n), st.just(7)))
+    counts = data.draw(st.lists(st.floats(0, 1e6), min_size=7, max_size=7).filter(any))
+    labels = data.draw(st.lists(st.sampled_from(list(EmotionLabel)), min_size=n, max_size=n))
+    writes = [
+        lambda path: write_frame_features(FrameFeatureSequence("v", frames), path),
+        lambda path: write_audio_features(vector, path),
+        lambda path: write_descriptors(ids, descriptors, path),
+        lambda path: write_scores(ScoreMatrix(tuple(ids), scores), path),
+        lambda path: write_weights(class_weights_from_counts(counts), path),
+        lambda path: write_predictions(ids, labels, path),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        for write in writes:
+            write(got)
+            with mock.patch.object(ingest, "_write_rows", reference_write_rows):
+                write(want)
+            assert got.read_bytes() == want.read_bytes()
+
+
+def expected_cell_error(cell):
+    """None when the reader must accept cell, else the end of its message:
+    a cell is accepted exactly when numpy parses it to a finite float."""
+    try:
+        value = np.array([cell], dtype=np.float64)[0]
+    except ValueError:
+        return "non-numeric value"
+    return None if np.isfinite(value) else "non-finite value"
+
+
+LISTED_CELLS = [" 1.5", "1_0", "١", '"1.5"', "", " ", "0x10", "1d5", "nan", "1e400",
+                "-Infinity", "1__0", "１.5", "1.5e-3 ", "+.5", ".", " 1"]
+
+
+def check_reader_parity(path, raw_cell):
+    """Read a descriptor file whose line 4 holds raw_cell (CSV text) and
+    compare with numpy's verdict on the cell as csv reads it."""
+    path.write_text(f"id,x0,x1\nv0,1,2\n\nv1,0,{raw_cell}\n", encoding="utf-8")
+    cell = next(csv.reader([raw_cell]), None) or ""  # csv reads "" as an empty row
+    error = expected_cell_error(cell)
+    if error is None:
+        _, matrix = read_descriptors(path)
+        assert matrix[1, 1].tobytes() == np.array([cell], dtype=np.float64).tobytes()
+    else:
+        with pytest.raises(ValueError) as info:
+            read_descriptors(path)
+        assert str(info.value) == f"{path}: line 4: {error}"
+
+
+@pytest.mark.parametrize("raw_cell", LISTED_CELLS)
+def test_reader_accepts_exactly_what_numpy_parses(tmp_path, raw_cell):
+    check_reader_parity(tmp_path / "d.csv", raw_cell)
+    # an inline weights row goes through the same row check, without csv quoting
+    text = f"{raw_cell},1,1,1,1,1,1"
+    error = expected_cell_error(raw_cell)
+    if error is None:
+        assert parse_weight_row(text)[0] == np.float64(raw_cell)
+    else:
+        with pytest.raises(ValueError) as info:
+            parse_weight_row(text)
+        assert str(info.value) == f"{text!r}: {error}"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cell=st.text(st.sampled_from("0123456789.eE+-_ xnaifINF١１d\""), max_size=8)
+       | st.floats().map(repr))
+def test_reader_parity_property(tmp_path, cell):
+    # written by csv.writer, so the file always holds exactly this cell
+    text = io.StringIO()
+    csv.writer(text, lineterminator="").writerow([cell])
+    check_reader_parity(tmp_path / "d.csv", text.getvalue())
+
+
+@pytest.mark.parametrize("header", ['id,"x0,x1"', "id,x0,", "id", "", "ID,x0", "id,x1,x0"])
+def test_numbered_header_rejects_near_misses(tmp_path, header):
+    path = tmp_path / "d.csv"
+    path.write_text(f"{header}\nv,1,2\n")
+    with pytest.raises(ValueError, match=r"expected header id,x0,\.\.\.$"):
+        read_descriptors(path)
+
+
+def outcome(read, path):
+    """What a reader gives for a file: ("ok", result) or ("error", message)."""
+    try:
+        return "ok", repr(read(path))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# row-level faults a reader or its caller must report, each on its own line
+frame_lines = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(-9, 9), st.integers(-9, 9))
+    .map(lambda r: ",".join(map(str, r))),
+    st.sampled_from(["", "x,0,1,2", "0,0,1", "0,0,1,2,3", "1,1,nan,2", "2,0,1,inf",
+                     "3,1,a,2", "0,0,1e400,1", "1,1,1_0,2"]),
+)
+id_lines = st.one_of(
+    st.tuples(st.sampled_from("abcdef"), st.integers(-9, 9)).map(lambda r: f"{r[0]},{r[1]},1"),
+    st.sampled_from(["", "g,1", "h,1,2,3", "i,nan,1", "j,1,-inf", "k,z,1"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame_rows=st.lists(frame_lines, max_size=12), id_rows=st.lists(id_lines, max_size=12))
+def test_reader_raises_what_the_reference_reader_raises(frame_rows, id_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        frames, descriptors = Path(tmp) / "frames.csv", Path(tmp) / "desc.csv"
+        frames.write_text("\n".join(["frame,variant,f0,f1", *frame_rows]) + "\n")
+        descriptors.write_text("\n".join(["id,x0,x1", *id_rows]) + "\n")
+        for read, path in ((load_frame_features, frames), (read_descriptors, descriptors)):
+            got = outcome(read, path)
+            with mock.patch.object(ingest, "_read_rows", reference_read_rows):
+                want = outcome(read, path)
+            assert got == want

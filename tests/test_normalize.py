@@ -1,5 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emovid.normalize import (
     NormalizationConfig,
@@ -159,3 +164,30 @@ def test_normalization_toggles():
     params = fit_normalization(matrix, NormalizationConfig(False, False, False))
     np.testing.assert_array_equal(apply_normalization(matrix, params), matrix)
     assert params.range_scaler is None and params.standardizer is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 40)),
+              elements=st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324])))
+def test_rootsift_rows_have_unit_norm(x):
+    y = rootsift(x)
+    nonzero = np.abs(x).sum(axis=1) > 0
+    assert np.all(np.abs(np.linalg.norm(y[nonzero], axis=1) - 1.0) <= 1e-12)
+    assert not y[~nonzero].any()
+
+
+def test_degenerate_columns_logged_once(caplog):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 4))
+    X[:, 1] = 3.0
+    X[:, 3] = -1.0
+    with caplog.at_level(logging.WARNING, logger="emovid"):
+        fit_normalization(X)
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 of 4 columns have a fitted std below 1e-12 and standardize to 0"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="emovid"):
+        fit_normalization(rng.standard_normal((6, 4)))
+        fit_normalization(X, NormalizationConfig(standardize=False))
+    assert caplog.records == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import cluster_labels_matrix, margin_suite
@@ -319,3 +321,15 @@ def test_model_load_rejects_bad_documents():
     bad_order = dict(doc, label_order=list(reversed(doc["label_order"])))
     with pytest.raises(ValueError, match="label order"):
         model_from_dict(bad_order)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_ovr_rows_equal_binary_solves_bitwise(bias):
+    X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=17)
+    cfg = SvmTrainConfig(C=0.5, seed=11, bias=bias)
+    model = train_ovr(X, labels, cfg)
+    for c in range(7):
+        y = np.where(np.asarray(labels) == c, 1.0, -1.0)
+        w = train_binary(X, y, replace(cfg, seed=cfg.seed + c))
+        assert model.weights[c].tobytes() == w.tobytes()
+    assert model.config == cfg
