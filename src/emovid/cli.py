@@ -143,16 +143,15 @@ def cmd_aggregate(args) -> int:
     if not manifest.entries:
         raise ValueError(f"{args.manifest}: no videos")
     config = load_pipeline_config(args.config)
-    features_root = Path(args.features_dir) if args.features_dir else manifest.root
+    if args.features_dir:
+        manifest = replace(manifest, root=Path(args.features_dir))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stream_name, agg_cfg in config.streams.items():
         ids = []
         rows = []
         for entry in manifest.entries:
-            if stream_name not in entry.streams:
-                raise ValueError(f"video {entry.video_id!r}: no stream {stream_name!r}")
-            path = features_root / entry.streams[stream_name]
+            path = manifest.resolve(entry, stream_name)
             try:
                 if sniff_stream_kind(path) == "frames":
                     seq = load_frame_features(path, video_id=entry.video_id)

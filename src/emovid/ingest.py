@@ -14,9 +14,11 @@ Formats:
 
 Every CSV goes through one row reader: blank lines are skipped, every row
 must match the header's width, float cells must be finite numbers, and
-ids must be unique in descriptor, score and prediction files. Writers
-serialize floats with 17 significant digits, so write-then-read
-reproduces every matrix bit-exactly.
+ids must be unique in descriptor, score and prediction files. The CSV
+writers format floats with %.17g and the JSON writer with the shortest
+repr (the stdlib encoder's); both round-trip every float64, so
+write-then-read reproduces every matrix bit-exactly. NaN and Infinity
+are rejected in JSON on both sides.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .core import (
     ScoreMatrix,
     label_from_name,
 )
-from .util import dumps_17g
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,14 @@ class Manifest:
 # --- JSON -----------------------------------------------------------------------
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _json_object(text: str, where) -> dict:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # json.JSONDecodeError included
         raise ValueError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object")
@@ -86,8 +91,9 @@ def read_json(path) -> dict:
 
 
 def write_json(doc, path) -> None:
-    """Write a model or report as JSON with floats at 17 digits."""
-    Path(path).write_text(dumps_17g(doc), encoding="utf-8")
+    """Write a model or report as one line of JSON (stdlib encoder, floats
+    as their shortest repr); a non-finite float is a ValueError."""
+    Path(path).write_text(json.dumps(doc, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def load_manifest(path) -> Manifest:
@@ -167,8 +173,7 @@ def _numbered(prefix: str, count: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _float_format(count: int) -> str:
-    """The %-format of a row of count floats at 17 significant digits;
-    '%.17g' % x gives the same text as util.fmt17(x)."""
+    """The %-format of a row of count floats at 17 significant digits."""
     return ",".join(["%.17g"] * count)
 
 

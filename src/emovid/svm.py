@@ -18,7 +18,6 @@ normalization chain re-fit inside every fold.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -55,10 +54,10 @@ class SvmTrainConfig:
     bias: bool = True  # realized as an appended constant-1 feature
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
@@ -407,28 +406,17 @@ def cross_validate_c(
 
 
 def model_to_dict(model: LinearSvmModel) -> dict:
-    doc = {
+    return {
         "format_version": model.format_version,
         "config": {
             **config_to_dict(model.config),
             "normalization": config_to_dict(model.norm_config),
         },
-        "range_scaler": None,
-        "standardizer": None,
-        "weights": [list(map(float, row)) for row in model.weights],
+        "range_scaler": None if model.range_scaler is None else config_to_dict(model.range_scaler),
+        "standardizer": None if model.standardizer is None else config_to_dict(model.standardizer),
+        "weights": model.weights.tolist(),
         "label_order": list(EMOTION_NAMES),
     }
-    if model.range_scaler is not None:
-        doc["range_scaler"] = {
-            "mins": list(map(float, model.range_scaler.mins)),
-            "maxs": list(map(float, model.range_scaler.maxs)),
-        }
-    if model.standardizer is not None:
-        doc["standardizer"] = {
-            "means": list(map(float, model.standardizer.means)),
-            "stds": list(map(float, model.standardizer.stds)),
-        }
-    return doc
 
 
 def model_from_dict(doc: dict) -> LinearSvmModel:
@@ -446,34 +434,17 @@ def model_from_dict(doc: dict) -> LinearSvmModel:
         NormalizationConfig, cfg_doc.pop("normalization", {}), "model", "config.normalization."
     )
     cfg = config_from_dict(SvmTrainConfig, cfg_doc, "model", "config.")
-    range_scaler = _params_from_dict(RangeScalerParams, doc["range_scaler"], "range_scaler")
-    standardizer = _params_from_dict(StandardizerParams, doc["standardizer"], "standardizer")
+    scalers = [
+        None if doc[key] is None else config_from_dict(cls, doc[key], "model", key + ".")
+        for key, cls in (("range_scaler", RangeScalerParams), ("standardizer", StandardizerParams))
+    ]
     weights = np.asarray(doc["weights"], dtype=np.float64)
-    return LinearSvmModel(weights, cfg, norm_config, range_scaler, standardizer)
-
-
-def _params_from_dict(cls, doc, key: str):
-    """A model's range_scaler or standardizer: null, or an object holding
-    exactly cls's fields, each a list of numbers."""
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise ValueError(f"model key {key!r}: expected an object or null, got {doc!r}")
-    names = [f.name for f in dataclasses.fields(cls)]
-    unknown = sorted(f"{key}.{name}" for name in doc if name not in names)
-    if unknown:
-        raise ValueError(f"unknown model keys: {unknown}")
-    for name in names:
-        if name not in doc:
-            raise ValueError(f"model key '{key}.{name}': missing")
-        value = doc[name]
-        if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
-            raise ValueError(f"model key '{key}.{name}': expected a list of numbers")
-    return cls(*(np.asarray(doc[name], dtype=np.float64) for name in names))
+    return LinearSvmModel(weights, cfg, norm_config, *scalers)
 
 
 def save_model(model: LinearSvmModel, path) -> None:
-    """Write the model as a single JSON document (floats at 17 digits)."""
+    """Write the model as one line of JSON; every float is written as its
+    shortest repr, so load_model gives back the same bits."""
     write_json(model_to_dict(model), path)
 
 

@@ -1,68 +1,14 @@
-"""Shared helpers: float formatting, JSON emission, the config codec,
-seed derivation."""
+"""Shared helpers: the config codec and seed derivation."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
+import reprlib
 import types
 import typing
 
-
-def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (lossless for float64)."""
-    return format(float(x), ".17g")
-
-
-def dumps_17g(obj) -> str:
-    """Serialize a plain dict/list/scalar tree to JSON with floats at 17
-    significant digits.
-
-    The stdlib encoder hardwires repr() for floats, so the file formats
-    here use this small walker instead. Dict insertion order is kept.
-    """
-    parts: list[str] = []
-    _emit(obj, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _emit(obj, parts: list[str], level: int) -> None:
-    pad = "  " * level
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            parts.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(value, parts, level + 1)
-            parts.append(",\n" if i < len(items) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            parts.append("[]")
-            return
-        parts.append("[")
-        for i, value in enumerate(obj):
-            _emit(value, parts, level)
-            if i < len(obj) - 1:
-                parts.append(", ")
-        parts.append("]")
-    elif isinstance(obj, bool):  # bool is an int subclass; test it first
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(fmt17(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+import numpy as np
 
 
 def config_from_dict(cls, doc, what: str = "config", prefix: str = ""):
@@ -70,18 +16,26 @@ def config_from_dict(cls, doc, what: str = "config", prefix: str = ""):
 
     Keys and value types are checked at every level against the field
     annotations: nested dataclasses recurse, dict[str, X] maps its values,
-    tuple[X, ...] and tuple[X, Y] take JSON lists, X | Y takes either,
-    and float fields accept integers. Missing keys take the field
-    defaults. An unknown key or a wrong type raises ValueError naming the
-    dotted key (prefix + key); what names the document in the message.
+    tuple[X, ...] and tuple[X, Y] take JSON lists, np.ndarray takes a list
+    of numbers as a float64 array, X | Y takes either, and float fields
+    accept integers. Missing keys take the field defaults; a field without
+    a default must be present. An unknown, missing or ill-typed key raises
+    ValueError naming the dotted key (prefix + key); what names the
+    document in the message.
     """
     if not isinstance(doc, dict):
-        raise ValueError(f"{what}: expected an object, got {doc!r}")
+        where = f"{what} key {prefix[:-1]!r}" if prefix else what
+        raise ValueError(f"{where}: expected an object, got {reprlib.repr(doc)}")
     hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
     unknown = sorted(prefix + key for key in doc if key not in names)
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in doc:
+            raise ValueError(f"{what} key {prefix + f.name!r}: missing")
     return cls(**{key: _decode(value, hints[key], what, prefix + key) for key, value in doc.items()})
 
 
@@ -102,15 +56,18 @@ def _decode(value, hint, what: str, key: str):
         arms = args[:1] * len(value) if args[-1] is Ellipsis else args
         if len(arms) == len(value):
             return tuple(_decode(v, arm, what, key) for v, arm in zip(value, arms))
+    elif hint is np.ndarray:
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            return np.array(value, dtype=np.float64)
     elif hint is float and type(value) in (int, float):
         return float(value)
     elif type(value) is hint:
         return value
-    raise ValueError(f"{what} key {key!r}: expected {_kind(hint)}, got {value!r}")
+    raise ValueError(f"{what} key {key!r}: expected {_kind(hint)}, got {reprlib.repr(value)}")
 
 
-_JSON_KINDS = {tuple: "a list", float: "a number", int: "an integer", bool: "true or false",
-               str: "a string"}
+_JSON_KINDS = {tuple: "a list", np.ndarray: "a list of numbers", float: "a number",
+               int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _kind(hint) -> str:
@@ -121,9 +78,13 @@ def _kind(hint) -> str:
 
 def config_to_dict(obj) -> dict:
     """The JSON object of a config dataclass, fields in declaration order
-    (tuples stay tuples; both JSON writers emit them as lists), so that
-    config_from_dict(type(obj), config_to_dict(obj)) == obj."""
-    return dataclasses.asdict(obj)
+    (tuples stay tuples, which json writes as lists; arrays become lists),
+    so that config_from_dict(type(obj), config_to_dict(obj)) == obj."""
+    return dataclasses.asdict(obj, dict_factory=_json_fields)
+
+
+def _json_fields(items) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
 
 
 def derive_seed(base: int, *labels: str) -> int:

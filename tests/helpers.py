@@ -36,17 +36,15 @@ def cluster_labels_matrix(n_per_class, d, separation, sigma, seed):
 
 def reference_write_rows(path, header, rows):
     """The per-cell CSV writer the ingest writers must match byte for byte:
-    csv.writer over the text cells and every float formatted by fmt17."""
+    csv.writer over the text cells and every float formatted by %.17g."""
     import csv
-
-    from emovid.util import fmt17
 
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         if header is not None:
             writer.writerow(header)
         for cells, values in rows:
-            writer.writerow([*cells, *map(fmt17, values)])
+            writer.writerow([*cells, *(format(float(x), ".17g") for x in values)])
 
 
 def reference_read_rows(path, fixed, features, unique=False):

@@ -238,6 +238,43 @@ def test_aggregate_reports_video_context_on_failure(capsys, tmp_path):
     assert "vid_bad" in err
 
 
+def test_aggregate_names_the_video_missing_a_stream(capsys, tmp_path):
+    write_audio_features(np.arange(3.0), tmp_path / "a.csv")
+    write_manifest([ManifestEntry("v_audio_only", "train", "Sad", {"audio": "a.csv"})],
+                   tmp_path / "m.jsonl")
+    err = run_fail(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"),
+                   "--out", str(tmp_path / "d"))
+    assert "'v_audio_only'" in err and "'frames'" in err
+
+
+def test_aggregate_features_dir_replaces_the_manifest_root(capsys, tmp_path):
+    write_audio_features(np.zeros(3), tmp_path / "a.csv")
+    (tmp_path / "other").mkdir()
+    write_audio_features(np.arange(3.0), tmp_path / "other" / "a.csv")
+    write_manifest([ManifestEntry("v1", "train", "Sad", {"audio": "a.csv"})], tmp_path / "m.jsonl")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"streams": {"audio": {}}}))
+    run_ok(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"), "--config", str(config),
+           "--features-dir", str(tmp_path / "other"), "--out", str(tmp_path / "d"))
+    assert read_descriptors(tmp_path / "d" / "audio.csv")[1].tolist() == [[0.0, 1.0, 2.0]]
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--c", "inf"], None),
+    ([], '{"svm": {"tolerance": Infinity}}'),
+], ids=["c-inf", "tolerance-Infinity"])
+def test_train_refuses_non_finite_solver_settings(synth_dir, capsys, tmp_path, flags, config):
+    manifest = str(synth_dir / "ds" / "manifest.jsonl")
+    run_ok(capsys, "aggregate", "--manifest", manifest, "--out", str(tmp_path / "d"))
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    err = run_fail(capsys, "train", "--descriptors", str(tmp_path / "d" / "frames.csv"),
+                   "--manifest", manifest, *flags, "--out", str(tmp_path / "m.json"))
+    assert ("C must be positive and finite" if config is None else "cfg.json") in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_unknown_config_keys_rejected(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"streamz": {}}))
@@ -390,6 +427,10 @@ BAD_DOCUMENTS = [
     ("predict", model_doc(top={"standardizer": {"means": [0.0, 0.0], "stds": [1.0, 1.0],
                                                 "scale": 2.0}}), "standardizer.scale"),
     ("predict", model_doc(top={"standardizer": [0.0]}), "standardizer"),
+    ("predict", model_doc(top={"standardizer": {"means": [0.0, 0.0]}}), "standardizer.stds"),
+    ("predict", model_doc(top={"range_scaler": {"mins": [0.0, True], "maxs": [1.0, 1.0]}}),
+     "range_scaler.mins"),
+    ("predict", model_doc(config={"normalization": 3}), "config.normalization"),
 ]
 
 

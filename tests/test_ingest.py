@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -36,8 +37,8 @@ from emovid.ingest import (
     write_scores,
     write_weights,
 )
-from emovid.normalize import NormalizationConfig
-from emovid.svm import SvmTrainConfig
+from emovid.normalize import NormalizationConfig, RangeScalerParams, StandardizerParams
+from emovid.svm import LinearSvmModel, SvmTrainConfig, load_model, save_model
 from emovid.synth import SynthConfig
 from emovid.util import config_from_dict, config_to_dict
 
@@ -250,9 +251,36 @@ def test_descriptor_header_names_and_blank_lines(tmp_path):
     assert matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_constants_rejected(tmp_path, constant):
+    doc = tmp_path / "doc.json"
+    doc.write_text(f'{{"svm": {{"C": {constant}}}}}')
+    with pytest.raises(ValueError, match=re.escape(f"{doc}: invalid JSON ({constant} ")):
+        ingest.read_json(doc)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(manifest_line("v1")[:-1] + f', "score": {constant}}}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}: line 1: invalid JSON")):
+        load_manifest(manifest)
+    with pytest.raises(ValueError):
+        ingest.write_json({"C": float(constant)}, doc)
+
+
+def test_json_written_on_one_line_with_shortest_floats(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"a": [0.1, 1.0, -0.0, 5e-324, 2], "b": {"c": None, "d": True, "e": "x\ny"}}
+    ingest.write_json(doc, path)
+    text = path.read_text()
+    assert text == '{"a": [0.1, 1.0, -0.0, 5e-324, 2], "b": {"c": null, "d": true, "e": "x\\ny"}}\n'
+    assert ingest.read_json(path) == doc
+
+
 # --- write-then-read and config round trips, property-based ---------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# the float64 extremes next to zero and at the top of the range, signed
+model_floats = finite | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+)
 positive = st.floats(min_value=1e-300, max_value=1e300)
 
 
@@ -344,6 +372,27 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
 
         write_predictions(ids, labels, path)
         assert read_predictions(path) == (tuple(ids), labels)
+
+        svm_config, norm_config = configs[1], configs[2]
+        dim = data.draw(st.integers(1, 4))
+        params = data.draw(arrays(np.float64, (4, dim), elements=model_floats))
+        weights = data.draw(arrays(np.float64, (7, dim + svm_config.bias), elements=model_floats))
+        model = LinearSvmModel(
+            weights, svm_config, norm_config,
+            RangeScalerParams(params[:2].min(axis=0), params[:2].max(axis=0)),
+            StandardizerParams(params[2], np.abs(params[3])),
+        )
+        saved, resaved = Path(tmp) / "model.json", Path(tmp) / "again.json"
+        save_model(model, saved)
+        loaded = load_model(saved)
+        assert (loaded.config, loaded.norm_config) == (svm_config, norm_config)
+        assert same_bits(loaded.weights, model.weights)
+        for name in ("mins", "maxs"):
+            assert same_bits(getattr(loaded.range_scaler, name), getattr(model.range_scaler, name))
+        for name in ("means", "stds"):
+            assert same_bits(getattr(loaded.standardizer, name), getattr(model.standardizer, name))
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == saved.read_bytes()
 
     for config in configs:
         doc = json.loads(json.dumps(config_to_dict(config)))

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from emovid.svm import (
     train_ovr,
 )
 from emovid.synth import oracle_svm_subgradient
-from emovid.util import dumps_17g
 
 
 def test_config_validation():
@@ -171,7 +171,7 @@ def test_ovr_separable_clusters_and_determinism():
     again = train_ovr(X, labels, cfg)
     assert (model.weights == again.weights).all()
     # identical model bytes
-    assert dumps_17g(model_to_dict(model)) == dumps_17g(model_to_dict(again))
+    assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(again))
 
 
 def test_decision_scores_examples():
