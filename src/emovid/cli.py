@@ -59,6 +59,9 @@ class ScoreConfig:
 
     score_mode: str = "softmax"
 
+    def __post_init__(self):
+        EnsembleConfig(self.score_mode)  # raises on a mode ensemble does not know
+
 
 @dataclass(frozen=True)
 class CvConfig:
@@ -103,34 +106,45 @@ def _parse_splits(value: str):
     return splits
 
 
-def _select_labeled_rows(manifest, desc_ids, matrix, splits, require_labels=True):
-    """Rows of the descriptor file for manifest entries in the given
-    splits, in manifest order. Returns (ids, X, labels)."""
-    row_of = {vid: i for i, vid in enumerate(desc_ids)}
-    ids, rows, labels = [], [], []
-    for entry in manifest.entries:
-        if entry.split not in splits:
-            continue
-        if entry.video_id not in row_of:
-            raise ValueError(f"video {entry.video_id!r} has no descriptor row")
-        if entry.label_name is None:
-            if require_labels:
-                raise ValueError(f"video {entry.video_id!r} has no label")
-            labels.append(None)
-        else:
-            labels.append(label_from_name(entry.label_name))
-        ids.append(entry.video_id)
-        rows.append(matrix[row_of[entry.video_id]])
-    if not ids:
+def _rows_in_splits(manifest, ids, splits, what: str, require_labels: bool = True):
+    """Join the manifest's videos in splits to a file's id column: their row
+    indices into ids, in manifest order, and their labels (None for an
+    unlabeled video, which require_labels refuses). Videos without a row
+    are one error counting them; what names the kind of row."""
+    row_of = {vid: i for i, vid in enumerate(ids)}
+    entries = [entry for entry in manifest.entries if entry.split in splits]
+    if not entries:
         raise ValueError(f"no videos in splits {','.join(splits)}")
-    return ids, np.asarray(rows, dtype=np.float64), labels
+    missing = sum(entry.video_id not in row_of for entry in entries)
+    if missing:
+        raise ValueError(
+            f"{missing} of {len(entries)} videos in splits {','.join(splits)} have no {what}"
+        )
+    labels = []
+    for entry in entries:
+        if entry.label_name is None and require_labels:
+            raise ValueError(f"video {entry.video_id!r} has no label")
+        labels.append(None if entry.label_name is None else label_from_name(entry.label_name))
+    return [row_of[entry.video_id] for entry in entries], labels
+
+
+def _descriptors_in_splits(args, require_labels: bool = True):
+    """The --descriptors rows of the --manifest videos in --splits, for cv,
+    train and predict: (ids, X, labels, splits)."""
+    manifest = load_manifest(args.manifest)
+    desc_ids, matrix = read_descriptors(args.descriptors)
+    splits = _parse_splits(args.splits)
+    rows, labels = _rows_in_splits(manifest, desc_ids, splits, "descriptor row", require_labels)
+    return [desc_ids[i] for i in rows], matrix[rows], labels, splits
 
 
 # --- commands ----------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig() if args.config is None else SynthConfig.from_dict(read_json(args.config))
+    cfg = SynthConfig()
+    if args.config is not None:
+        cfg = config_from_dict(SynthConfig, read_json(args.config), "synth config")
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, "synth"))
     dataset = generate_dataset(cfg, args.out)
@@ -176,10 +190,7 @@ def cmd_aggregate(args) -> int:
 def cmd_cv(args) -> int:
     config = load_pipeline_config(args.config)
     folds = args.folds if args.folds is not None else config.cv.folds
-    manifest = load_manifest(args.manifest)
-    desc_ids, matrix = read_descriptors(args.descriptors)
-    splits = _parse_splits(args.splits)
-    ids, X, labels = _select_labeled_rows(manifest, desc_ids, matrix, splits)
+    ids, X, labels, _ = _descriptors_in_splits(args)
     fold_seed = (
         derive_seed(args.seed, "cv") if args.seed is not None else config.svm.seed
     )
@@ -209,10 +220,7 @@ def cmd_cv(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_pipeline_config(args.config)
-    manifest = load_manifest(args.manifest)
-    desc_ids, matrix = read_descriptors(args.descriptors)
-    splits = _parse_splits(args.splits)
-    ids, X, labels = _select_labeled_rows(manifest, desc_ids, matrix, splits)
+    ids, X, labels, splits = _descriptors_in_splits(args)
     svm_cfg = config.svm
     if args.c is not None:
         svm_cfg = replace(svm_cfg, C=args.c)
@@ -234,15 +242,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    desc_ids, matrix = read_descriptors(args.descriptors)
-    if args.splits is not None:
-        if args.manifest is None:
-            raise ValueError("--splits requires --manifest")
-        manifest = load_manifest(args.manifest)
-        splits = _parse_splits(args.splits)
-        desc_ids, matrix, _ = _select_labeled_rows(
-            manifest, desc_ids, matrix, splits, require_labels=False
-        )
+    if args.splits is None:
+        desc_ids, matrix = read_descriptors(args.descriptors)
+    elif args.manifest is None:
+        raise ValueError("--splits requires --manifest")
+    else:
+        desc_ids, matrix, _, _ = _descriptors_in_splits(args, require_labels=False)
     normalized = apply_normalization(matrix, model.normalization)
     scores = decision_scores(model, normalized, video_ids=desc_ids)
     write_scores(scores, args.out)
@@ -304,32 +309,17 @@ def cmd_weigh(args) -> int:
 def cmd_evaluate(args) -> int:
     ids, predicted = read_predictions(args.predictions)
     manifest = load_manifest(args.manifest)
-    entry_of = {entry.video_id: entry for entry in manifest.entries}
+    split_of = {entry.video_id: entry.split for entry in manifest.entries}
     for vid in ids:
-        if vid not in entry_of:
+        if vid not in split_of:
             raise ValueError(f"predicted video {vid!r} not in manifest")
     if args.splits is not None:
         splits = _parse_splits(args.splits)
     else:
-        touched = {entry_of[vid].split for vid in ids}
+        touched = {split_of[vid] for vid in ids}
         splits = tuple(s for s in SPLITS if s in touched)
-    expected = [entry.video_id for entry in manifest.entries if entry.split in splits]
-    missing = len(set(expected) - set(ids))
-    if missing:
-        raise ValueError(
-            f"{missing} of {len(expected)} videos in splits {','.join(splits)} have no prediction"
-        )
-    truths = []
-    kept = []
-    for vid, label in zip(ids, predicted):
-        entry = entry_of[vid]
-        if entry.split not in splits:
-            continue
-        if entry.label_name is None:
-            raise ValueError(f"video {vid!r} has no ground-truth label")
-        truths.append(label_from_name(entry.label_name))
-        kept.append(label)
-    report = evaluate(kept, truths)
+    rows, truths = _rows_in_splits(manifest, ids, splits, "prediction")
+    report = evaluate([predicted[i] for i in rows], truths)
     sys.stdout.write(render_report(report))
     if args.out:
         write_json(report_to_dict(report), args.out)

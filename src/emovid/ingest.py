@@ -2,7 +2,8 @@
 
 Formats:
   manifest      line-delimited JSON objects with keys id, split, label
-                (name or null) and streams (name -> relative path)
+                (name or null) and streams (name -> relative path),
+                each decoded by the config codec (util.config_from_dict)
   frame file    CSV header frame,variant,f0,...,f{d-1}; one row per
                 (frame, variant); the grid must be rectangular
   audio file    CSV header f0,...,f{d-1} and exactly one data row
@@ -26,7 +27,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,14 +43,23 @@ from .core import (
     ScoreMatrix,
     label_from_name,
 )
+from .util import config_from_dict, config_to_dict
 
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    video_id: str
+    video_id: str = field(metadata={"key": "id"})
     split: str
-    label_name: str | None
-    streams: dict  # stream name -> path relative to the manifest
+    label_name: str | None = field(metadata={"key": "label"})
+    streams: dict[str, str]  # stream name -> path relative to Manifest.root
+
+    def __post_init__(self):
+        if not self.video_id:
+            raise ValueError("id must be non-empty")
+        if self.split not in SPLITS:
+            raise ValueError(f"bad split {self.split!r}, expected one of {SPLITS}")
+        if self.label_name is not None:
+            label_from_name(self.label_name)  # raises on unknown names
 
 
 @dataclass(frozen=True)
@@ -60,9 +70,16 @@ class Manifest:
     root: Path
 
     def resolve(self, entry: ManifestEntry, stream: str) -> Path:
+        """The path of entry's stream under root, checked to exist; an error
+        names the video, the stream and the path."""
         if stream not in entry.streams:
             raise ValueError(f"video {entry.video_id!r} has no stream {stream!r}")
-        return self.root / entry.streams[stream]
+        path = self.root / entry.streams[stream]
+        if not path.exists():
+            raise ValueError(
+                f"video {entry.video_id!r}: stream {stream!r} path {str(path)!r} does not exist"
+            )
+        return path
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -97,64 +114,32 @@ def write_json(doc, path) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    """Parse a manifest; duplicate ids, bad splits, unknown labels and
-    unresolvable stream paths are rejected with the offending line."""
+    """Parse a manifest: the config codec decodes each line into a
+    ManifestEntry, ids must be unique, and errors name the line. Stream
+    paths are checked by Manifest.resolve, when a command reads them."""
     path = Path(path)
-    root = path.parent
-    entries = []
-    seen = set()
+    entries = {}
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
-            record = _json_object(line, f"{path}: line {lineno}")
+            where = f"{path}: line {lineno}"
+            record = _json_object(line, where)
             try:
-                video_id = record["id"]
-                split = record["split"]
-                label = record["label"]
-                streams = record["streams"]
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing key {exc}") from None
-            if not isinstance(video_id, str) or not video_id:
-                raise ValueError(f"{path}: line {lineno}: id must be a non-empty string")
-            if split not in SPLITS:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad split {split!r}, expected one of {SPLITS}"
-                )
-            if label is not None:
-                if not isinstance(label, str):
-                    raise ValueError(f"{path}: line {lineno}: label must be a string or null")
-                label_from_name(label)  # raises on unknown names
-            if not isinstance(streams, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in streams.items()
-            ):
-                raise ValueError(
-                    f"{path}: line {lineno}: streams must map names to relative paths"
-                )
-            if video_id in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate video id {video_id!r}")
-            seen.add(video_id)
-            for stream_name, rel in streams.items():
-                if not (root / rel).exists():
-                    raise ValueError(
-                        f"{path}: line {lineno}: stream {stream_name!r} path "
-                        f"{rel!r} does not exist"
-                    )
-            entries.append(ManifestEntry(video_id, split, label, dict(streams)))
-    return Manifest(tuple(entries), root)
+                entry = config_from_dict(ManifestEntry, record, "manifest")
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if entry.video_id in entries:
+                raise ValueError(f"{where}: duplicate video id {entry.video_id!r}")
+            entries[entry.video_id] = entry
+    return Manifest(tuple(entries.values()), path.parent)
 
 
 def write_manifest(entries, path) -> None:
     """Write manifest entries as line-delimited JSON in the given order."""
     with open(path, "w", encoding="utf-8", newline="") as fp:
         for entry in entries:
-            record = {
-                "id": entry.video_id,
-                "split": entry.split,
-                "label": entry.label_name,
-                "streams": dict(entry.streams),
-            }
-            fp.write(json.dumps(record) + "\n")
+            fp.write(json.dumps(config_to_dict(entry)) + "\n")
 
 
 # --- CSV ------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .normalize import (
     fit_normalization,
 )
 from .ingest import read_json, write_json
-from .util import config_from_dict, config_to_dict
+from .util import config_from_dict, config_to_dict, decode_value
 
 MODEL_FORMAT_VERSION = 1
 _MODEL_KEYS = ("format_version", "config", "range_scaler", "standardizer", "weights", "label_order")
@@ -438,7 +438,12 @@ def model_from_dict(doc: dict) -> LinearSvmModel:
         None if doc[key] is None else config_from_dict(cls, doc[key], "model", key + ".")
         for key, cls in (("range_scaler", RangeScalerParams), ("standardizer", StandardizerParams))
     ]
-    weights = np.asarray(doc["weights"], dtype=np.float64)
+    weights = decode_value(doc["weights"], tuple[np.ndarray, ...], "model", "weights")
+    if len({row.size for row in weights}) > 1:
+        raise ValueError("model key 'weights': rows of unequal length")
+    for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize")):
+        if doc[key] is None and getattr(norm_config, flag):
+            raise ValueError(f"model key {key!r}: null, but config.normalization.{flag} is true")
     return LinearSvmModel(weights, cfg, norm_config, *scalers)
 
 

@@ -24,7 +24,6 @@ from .core import (
     VideoSample,
 )
 from .ingest import Manifest, ManifestEntry, write_frame_features, write_manifest
-from .util import config_from_dict
 
 
 def _default_counts() -> dict:
@@ -77,10 +76,6 @@ class SynthConfig:
                 )
             counts[split] = per_class
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        return config_from_dict(cls, doc, "synth config")
 
 
 @dataclass(frozen=True)

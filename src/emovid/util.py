@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import reprlib
 import types
@@ -18,28 +19,40 @@ def config_from_dict(cls, doc, what: str = "config", prefix: str = ""):
     annotations: nested dataclasses recurse, dict[str, X] maps its values,
     tuple[X, ...] and tuple[X, Y] take JSON lists, np.ndarray takes a list
     of numbers as a float64 array, X | Y takes either, and float fields
-    accept integers. Missing keys take the field defaults; a field without
-    a default must be present. An unknown, missing or ill-typed key raises
-    ValueError naming the dotted key (prefix + key); what names the
-    document in the message.
+    accept integers. A field's JSON key is its name, or the "key" in its
+    metadata (field(metadata={"key": "id"})). Missing keys take the field
+    defaults; a field without a default must be present. An unknown,
+    missing or ill-typed key raises ValueError naming the dotted key
+    (prefix + key); what names the document in the message.
     """
     if not isinstance(doc, dict):
         where = f"{what} key {prefix[:-1]!r}" if prefix else what
         raise ValueError(f"{where}: expected an object, got {reprlib.repr(doc)}")
-    hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    names = {f.name for f in fields}
-    unknown = sorted(prefix + key for key in doc if key not in names)
+    schema = _schema(cls)
+    unknown = sorted(prefix + key for key in doc if key not in schema)
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
-    for f in fields:
+    for key, (f, _) in schema.items():
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        if required and f.name not in doc:
-            raise ValueError(f"{what} key {prefix + f.name!r}: missing")
-    return cls(**{key: _decode(value, hints[key], what, prefix + key) for key, value in doc.items()})
+        if required and key not in doc:
+            raise ValueError(f"{what} key {prefix + key!r}: missing")
+    return cls(**{schema[key][0].name: decode_value(value, schema[key][1], what, prefix + key)
+                  for key, value in doc.items()})
 
 
-def _decode(value, hint, what: str, key: str):
+@functools.cache
+def _schema(cls) -> dict:
+    """JSON key -> (field, type hint) for the dataclass cls, in field order;
+    typing.get_type_hints is too slow to call per document."""
+    hints = typing.get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (f, hints[f.name]) for f in dataclasses.fields(cls)}
+
+
+def decode_value(value, hint, what: str, key: str):
+    """A JSON value checked and converted against the type hint, as
+    config_from_dict does for each field; key names it in errors."""
+    if type(value) is hint:  # exactly the hinted str, int, bool, float or None
+        return value
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
         if isinstance(value, dict):
@@ -47,27 +60,25 @@ def _decode(value, hint, what: str, key: str):
     elif origin is types.UnionType:
         for arm in args:
             try:
-                return _decode(value, arm, what, key)
+                return decode_value(value, arm, what, key)
             except ValueError:
                 pass
     elif origin is dict and isinstance(value, dict):
-        return {k: _decode(v, args[1], what, f"{key}.{k}") for k, v in value.items()}
+        return {k: decode_value(v, args[1], what, f"{key}.{k}") for k, v in value.items()}
     elif origin is tuple and isinstance(value, (list, tuple)):
         arms = args[:1] * len(value) if args[-1] is Ellipsis else args
         if len(arms) == len(value):
-            return tuple(_decode(v, arm, what, key) for v, arm in zip(value, arms))
+            return tuple(decode_value(v, arm, what, key) for v, arm in zip(value, arms))
     elif hint is np.ndarray:
         if isinstance(value, list) and all(type(v) in (int, float) for v in value):
             return np.array(value, dtype=np.float64)
-    elif hint is float and type(value) in (int, float):
+    elif hint is float and type(value) is int:
         return float(value)
-    elif type(value) is hint:
-        return value
     raise ValueError(f"{what} key {key!r}: expected {_kind(hint)}, got {reprlib.repr(value)}")
 
 
 _JSON_KINDS = {tuple: "a list", np.ndarray: "a list of numbers", float: "a number",
-               int: "an integer", bool: "true or false", str: "a string"}
+               int: "an integer", bool: "true or false", str: "a string", type(None): "null"}
 
 
 def _kind(hint) -> str:
@@ -77,14 +88,18 @@ def _kind(hint) -> str:
 
 
 def config_to_dict(obj) -> dict:
-    """The JSON object of a config dataclass, fields in declaration order
-    (tuples stay tuples, which json writes as lists; arrays become lists),
-    so that config_from_dict(type(obj), config_to_dict(obj)) == obj."""
-    return dataclasses.asdict(obj, dict_factory=_json_fields)
+    """The JSON object of a config dataclass, keys in field order (tuples
+    stay tuples, which json writes as lists; arrays become lists), so that
+    config_from_dict(type(obj), config_to_dict(obj)) == obj."""
+    return {key: _encode(getattr(obj, f.name)) for key, (f, _) in _schema(type(obj)).items()}
 
 
-def _json_fields(items) -> dict:
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        return config_to_dict(value)
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def derive_seed(base: int, *labels: str) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from emovid.cli import main, read_descriptors
 from emovid.ensemble import read_predictions, read_scores, read_weight_row
-from emovid.ingest import write_audio_features, write_manifest, ManifestEntry
+from emovid.ingest import write_audio_features, write_descriptors, write_manifest, ManifestEntry
 from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict
 
 
@@ -431,6 +431,9 @@ BAD_DOCUMENTS = [
     ("predict", model_doc(top={"range_scaler": {"mins": [0.0, True], "maxs": [1.0, 1.0]}}),
      "range_scaler.mins"),
     ("predict", model_doc(config={"normalization": 3}), "config.normalization"),
+    ("predict", model_doc(), "range_scaler"),
+    ("predict", model_doc(top={"weights": "abc"}), "weights"),
+    ("predict", model_doc(top={"weights": [[0.0] * 3] * 6 + [[0.0] * 2]}), "weights"),
 ]
 
 
@@ -474,3 +477,59 @@ def test_constant_column_warns_on_train(capsys, tmp_path):
     assert capsys.readouterr().err.splitlines() == [
         "warning: 1 of 4 columns have a fitted std below 1e-12 and standardize to 0"
     ]
+
+
+def test_train_rejects_an_unknown_score_mode(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"ensemble": {"score_mode": "bogus"}}))
+    absent = str(tmp_path / "absent")
+    err = run_fail(capsys, "train", "--descriptors", absent, "--manifest", absent,
+                   "--config", str(config), "--out", absent)
+    assert "unknown score_mode 'bogus'" in err
+
+
+def write_audio_dataset(feat_dir, manifest_path):
+    """Six labeled audio feature files in feat_dir, listed by a manifest at
+    manifest_path with paths relative to feat_dir; returns a config path."""
+    rng = np.random.default_rng(4)
+    entries = []
+    for i, name in enumerate(("Angry", "Happy")):
+        for k in range(3):
+            vid = f"v_{name}_{k}"
+            write_audio_features(rng.standard_normal(5) + 10 * i, feat_dir / f"{vid}.csv")
+            entries.append(ManifestEntry(vid, "train", name, {"audio": f"{vid}.csv"}))
+    write_manifest(entries, manifest_path)
+    config = manifest_path.parent / "cfg.json"
+    config.write_text(json.dumps({"streams": {"audio": {}}}))
+    return str(config)
+
+
+def test_aggregate_reads_streams_only_under_features_dir(capsys, tmp_path):
+    (tmp_path / "m").mkdir()
+    (tmp_path / "feat").mkdir()
+    manifest = tmp_path / "m" / "m.jsonl"
+    config = write_audio_dataset(tmp_path / "feat", manifest)
+    argv = ["aggregate", "--manifest", str(manifest), "--config", config,
+            "--features-dir", str(tmp_path / "feat"), "--out", str(tmp_path / "d")]
+    run_ok(capsys, *argv)
+    assert len(read_descriptors(tmp_path / "d" / "audio.csv")[0]) == 6
+    (tmp_path / "feat" / "v_Happy_1.csv").unlink()
+    err = run_fail(capsys, *argv)
+    missing = str(tmp_path / "feat" / "v_Happy_1.csv")
+    assert f"video 'v_Happy_1': stream 'audio' path {missing!r} does not exist" in err
+
+
+def test_train_reads_no_feature_file_and_cv_counts_missing_rows(capsys, tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    config = write_audio_dataset(tmp_path, manifest)
+    run_ok(capsys, "aggregate", "--manifest", str(manifest), "--config", config,
+           "--out", str(tmp_path / "d"))
+    for path in tmp_path.glob("v_*.csv"):
+        path.unlink()
+    run_ok(capsys, "train", "--descriptors", str(tmp_path / "d" / "audio.csv"),
+           "--manifest", str(manifest), "--config", config, "--out", str(tmp_path / "model.json"))
+    ids, matrix = read_descriptors(tmp_path / "d" / "audio.csv")
+    write_descriptors(ids[:2] + ids[3:], np.delete(matrix, 2, axis=0), tmp_path / "partial.csv")
+    err = run_fail(capsys, "cv", "--descriptors", str(tmp_path / "partial.csv"),
+                   "--manifest", str(manifest), "--config", config)
+    assert "1 of 6 videos in splits train have no descriptor row" in err

@@ -13,6 +13,7 @@ from emovid.synth import (
     oracle_dft,
     oracle_svm_subgradient,
 )
+from emovid.util import config_from_dict
 
 
 def tree_bytes(root):
@@ -24,13 +25,13 @@ def tree_bytes(root):
 
 
 def test_config_validation_and_from_dict():
-    cfg = SynthConfig.from_dict(
-        {"dim": 4, "counts": {"train": 2, "val": [1, 0, 0, 0, 0, 0, 1]}, "seed": 3}
+    cfg = config_from_dict(
+        SynthConfig, {"dim": 4, "counts": {"train": 2, "val": [1, 0, 0, 0, 0, 0, 1]}, "seed": 3}
     )
     assert cfg.counts["train"] == (2,) * 7
     assert cfg.counts["val"] == (1, 0, 0, 0, 0, 0, 1)
     with pytest.raises(ValueError, match="unknown synth config"):
-        SynthConfig.from_dict({"sigma": 1.0})
+        config_from_dict(SynthConfig, {"sigma": 1.0}, "synth config")
     with pytest.raises(ValueError, match="frames_range"):
         SynthConfig(frames_range=(0, 4))
     with pytest.raises(ValueError, match="unknown split"):
