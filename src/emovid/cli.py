@@ -130,10 +130,12 @@ def _rows_in_splits(manifest, ids, splits, what: str, require_labels: bool = Tru
 
 def _descriptors_in_splits(args, require_labels: bool = True):
     """The --descriptors rows of the --manifest videos in --splits, for cv,
-    train and predict: (ids, X, labels, splits)."""
+    train and predict: (ids, X, labels, splits). Only the floats of those
+    videos' rows are parsed."""
     manifest = load_manifest(args.manifest)
-    desc_ids, matrix = read_descriptors(args.descriptors)
     splits = _parse_splits(args.splits)
+    keep = {entry.video_id for entry in manifest.entries if entry.split in splits}
+    desc_ids, matrix = read_descriptors(args.descriptors, keep)
     rows, labels = _rows_in_splits(manifest, desc_ids, splits, "descriptor row", require_labels)
     return [desc_ids[i] for i in rows], matrix[rows], labels, splits
 
@@ -242,10 +244,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if args.splits is None:
+    if args.splits is None and args.manifest is None:
         desc_ids, matrix = read_descriptors(args.descriptors)
     elif args.manifest is None:
         raise ValueError("--splits requires --manifest")
+    elif args.splits is None:
+        raise ValueError("--manifest requires --splits")
     else:
         desc_ids, matrix, _, _ = _descriptors_in_splits(args, require_labels=False)
     normalized = apply_normalization(matrix, model.normalization)

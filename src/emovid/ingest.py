@@ -15,7 +15,12 @@ Formats:
 
 Every CSV goes through one row reader: blank lines are skipped, every row
 must match the header's width, float cells must be finite numbers, and
-ids must be unique in descriptor, score and prediction files. The CSV
+ids must be unique in descriptor, score and prediction files. A reader
+given a set of ids to keep checks every row's width and id but parses the
+floats of the kept rows only. Plain lines are split with str operations
+and their floats tokenized by np.loadtxt; a file with a quoted cell, a
+cell only float() reads (such as 1_0) or any fault is read again by
+csv.reader, which reports each error at its line. The CSV
 writers format floats with %.17g and the JSON writer with the shortest
 repr (the stdlib encoder's); both round-trip every float64, so
 write-then-read reproduces every matrix bit-exactly. NaN and Infinity
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,11 +168,13 @@ def _float_format(count: int) -> str:
     return ",".join(["%.17g"] * count)
 
 
-def _row_values(row, width: int, start: int, where) -> np.ndarray:
-    """The float cells row[start:] of a row that must have width cells;
-    where() names the row in an error message."""
+def _row_values(row, width: int, start: int, where, parse: bool = True):
+    """The float cells row[start:] of a row that must have width cells, or
+    None when not parse; where() names the row in an error message."""
     if len(row) != width:
         raise ValueError(f"{where()}: {len(row)} fields, expected {width}")
+    if not parse:
+        return None
     try:
         values = np.array(row[start:], dtype=np.float64)
     except ValueError:
@@ -176,16 +184,103 @@ def _row_values(row, width: int, start: int, where) -> np.ndarray:
     return values
 
 
-def _read_rows(path, fixed, features, unique: bool = False):
-    """Yield (line number, cells, float values) for each data row of a CSV.
+def _layout(path, fixed, features, header) -> tuple:
+    """(width, start): the cells in a row and the index of its first float
+    cell, for a file whose header cells are header (None without one)."""
+    if fixed is None:
+        return len(features), 0
+    names = header[len(fixed):]
+    if isinstance(features, str):
+        # the expected text has count - 1 commas, so no name may hold one
+        matches = ",".join(names) == _numbered_text(features, max(1, len(names)))
+        shown = fixed + (f"{features}0", "...")
+    else:
+        matches = names == features
+        shown = fixed + features
+    if header[:len(fixed)] != fixed or not matches:
+        raise ValueError(f"{path}: expected header {','.join(shown)}")
+    return len(header), len(fixed)
+
+
+def _read_rows(path, fixed, features, unique: bool = False, keep=None):
+    """Yield (line number, fixed cells, float values) for each data row of a CSV.
 
     The header must be fixed + features, where features is a tuple of
     names or a prefix p standing for p0,...,p{d-1} with d >= 1; fixed=None
     means the file has no header and len(features) columns. Blank lines
-    are skipped. The cells after the fixed columns are parsed one row at a
-    time and must be finite numbers; with unique, no two rows may share
-    their first cell.
+    are skipped. Every row must have the header's width, and its cells
+    after the fixed columns must be finite numbers; with unique, no two
+    rows may share their first cell. With keep, a row whose first cell is
+    not in keep is checked for width and duplicates only, and yields None
+    for its values. Errors name the line, checked in file order.
     """
+    rows = _fast_rows(path, fixed, features, unique, keep)
+    yield from _csv_rows(path, fixed, features, unique, keep) if rows is None else rows
+
+
+class _Refused(ValueError):
+    """A line _fast_rows leaves to _csv_rows."""
+
+
+def _fast_rows(path, fixed, features, unique, keep):
+    """_read_rows' rows as a list, or None when the file is one to leave to
+    _csv_rows: a line holds a quote or a NUL (which csv.reader refuses
+    before Python 3.11), or a check fails.
+
+    Lines are split with str operations, and the float cells of the rows
+    wanted are streamed into one np.loadtxt, which accepts a subset of the
+    cells np.array accepts and reads those to the same bits. It never
+    raises a ValueError itself, so _csv_rows reports every error.
+    """
+    seen, rows = set(), []  # rows: (line number, fixed cells, wanted)
+
+    def float_text(lines, width, start):
+        """Check each line and yield the float part of the wanted rows."""
+        for lineno, line in lines:
+            text = line.rstrip("\r\n")
+            if not text:
+                continue
+            if '"' in text or "\0" in text or text.count(",") != width - 1:
+                raise _Refused
+            cells = text.split(",", start)
+            if unique:
+                if cells[0] in seen:
+                    raise _Refused
+                seen.add(cells[0])
+            wanted = keep is None or cells[0] in keep
+            rows.append((lineno, cells[:start], wanted))
+            if wanted and start < width:
+                if not cells[start]:  # loadtxt would skip an empty line
+                    raise _Refused
+                yield cells[start]
+
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        lines = enumerate(fp, start=1)
+        try:
+            header = None
+            if fixed is not None:  # a quoted name matches nothing, so _csv_rows reads it
+                header = tuple(next(lines, (1, ""))[1].rstrip("\r\n").split(","))
+            width, start = _layout(path, fixed, features, header)
+            texts = float_text(lines, width, start)
+            first = next(texts, None)
+            matrix = None if first is None else np.loadtxt(
+                itertools.chain([first], texts), delimiter=",", comments=None,
+                dtype=np.float64, ndmin=2)
+        except ValueError:  # _Refused and UnicodeDecodeError included
+            return None
+    kept = sum(wanted for *_, wanted in rows)
+    if matrix is None:  # no float cell to parse, and loadtxt warns on no lines
+        matrix = np.empty((kept, width - start))
+    if matrix.shape != (kept, width - start) or not np.isfinite(matrix).all():
+        return None
+    values = iter(matrix)
+    return [(lineno, cells, next(values) if wanted else None) for lineno, cells, wanted in rows]
+
+
+def _csv_rows(path, fixed, features, unique, keep):
+    """_read_rows through csv.reader, one row at a time: it reads quoted
+    cells, and every cell float() reads (such as 1_0), and raises each
+    error at its line."""
     path = Path(path)
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fp:
@@ -194,30 +289,17 @@ def _read_rows(path, fixed, features, unique: bool = False):
         def where():
             return f"{path}: line {reader.line_num}"
 
-        if fixed is None:
-            width, start = len(features), 0
-        else:
-            header = tuple(next(reader, ()))
-            names = header[len(fixed):]
-            if isinstance(features, str):
-                # the expected text has count - 1 commas, so no name may hold one
-                matches = ",".join(names) == _numbered_text(features, max(1, len(names)))
-                shown = fixed + (f"{features}0", "...")
-            else:
-                matches = names == features
-                shown = fixed + features
-            if header[:len(fixed)] != fixed or not matches:
-                raise ValueError(f"{path}: expected header {','.join(shown)}")
-            width, start = len(header), len(fixed)
+        header = None if fixed is None else tuple(next(reader, ()))
+        width, start = _layout(path, fixed, features, header)
         for row in reader:
             if not row:
                 continue
-            values = _row_values(row, width, start, where)
+            values = _row_values(row, width, start, where, keep is None or row[0] in keep)
             if unique:
                 if row[0] in seen:
                     raise ValueError(f"{where()}: duplicate {fixed[0]} {row[0]!r}")
                 seen.add(row[0])
-            yield reader.line_num, row, values
+            yield reader.line_num, row[:start], values
 
 
 def _write_rows(path, header, rows) -> None:
@@ -253,15 +335,18 @@ def _read_one_row(path, fixed, features) -> np.ndarray:
     return rows[0][2]
 
 
-def _read_id_matrix(path, features, what: str):
-    """(ids, matrix) from a CSV of id + float columns with unique ids."""
-    ids, rows = [], []
-    for _, row, values in _read_rows(path, ("id",), features, unique=True):
-        ids.append(row[0])
-        rows.append(values)
-    if not ids:
+def _read_id_matrix(path, features, what: str, keep=None):
+    """(ids, matrix) from a CSV of id + float columns with unique ids; with
+    keep, of the rows whose id is in keep (a (0, 0) matrix if none is)."""
+    ids, rows, seen = [], [], 0
+    for _, cells, values in _read_rows(path, ("id",), features, unique=True, keep=keep):
+        seen += 1
+        if values is not None:
+            ids.append(cells[0])
+            rows.append(values)
+    if not seen:
         raise ValueError(f"{path}: no {what} rows")
-    return tuple(ids), np.stack(rows)
+    return tuple(ids), np.stack(rows) if rows else np.empty((0, 0))
 
 
 def load_frame_features(path, expected_dim: int | None = None, video_id: str | None = None) -> FrameFeatureSequence:
@@ -331,9 +416,11 @@ def sniff_stream_kind(path) -> str:
     raise ValueError(f"{path}: unrecognized feature file header")
 
 
-def read_descriptors(path):
-    """Returns (video_ids, matrix) from a descriptor CSV."""
-    return _read_id_matrix(path, "x", "descriptor")
+def read_descriptors(path, keep=None):
+    """Returns (video_ids, matrix) from a descriptor CSV; with keep, only
+    the rows whose id is in keep, in file order. Every row is checked for
+    its width and a duplicate id, but only the kept rows' floats are read."""
+    return _read_id_matrix(path, "x", "descriptor", keep)
 
 
 def write_descriptors(video_ids, matrix: np.ndarray, path) -> None:

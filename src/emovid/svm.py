@@ -441,10 +441,22 @@ def model_from_dict(doc: dict) -> LinearSvmModel:
     weights = decode_value(doc["weights"], tuple[np.ndarray, ...], "model", "weights")
     if len({row.size for row in weights}) > 1:
         raise ValueError("model key 'weights': rows of unequal length")
-    for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize")):
-        if doc[key] is None and getattr(norm_config, flag):
+    model = LinearSvmModel(weights, cfg, norm_config, *scalers)
+    width = model.weights.shape[1] - cfg.bias
+    for (key, flag, column), params in zip(
+        (("range_scaler", "range_scale", "mins"), ("standardizer", "standardize", "means")), scalers
+    ):
+        enabled = getattr(norm_config, flag)
+        if params is None and enabled:
             raise ValueError(f"model key {key!r}: null, but config.normalization.{flag} is true")
-    return LinearSvmModel(weights, cfg, norm_config, *scalers)
+        if params is not None and not enabled:
+            raise ValueError(f"model key 'config.normalization.{flag}': false, but {key!r} is set")
+        if params is not None and getattr(params, column).size != width:
+            raise ValueError(
+                f"model key '{key}.{column}': {getattr(params, column).size} columns, "
+                f"but the weights have {width} features"
+            )
+    return model
 
 
 def save_model(model: LinearSvmModel, path) -> None:

@@ -47,10 +47,12 @@ def reference_write_rows(path, header, rows):
             writer.writerow([*cells, *(format(float(x), ".17g") for x in values)])
 
 
-def reference_read_rows(path, fixed, features, unique=False):
+def reference_read_rows(path, fixed, features, unique=False, keep=None):
     """The row-at-a-time CSV reader the ingest reader must match, errors
     included: each row is checked for width, numbers, finiteness and a
-    duplicate id before it is yielded as (line number, fixed cells, values)."""
+    duplicate id before it is yielded as (line number, fixed cells, values).
+    With keep, a row whose first cell is not in keep skips the number and
+    finiteness checks and is yielded with values None."""
     import csv
     from pathlib import Path
 
@@ -77,12 +79,14 @@ def reference_read_rows(path, fixed, features, unique=False):
             where = f"{path}: line {reader.line_num}"
             if len(row) != width:
                 raise ValueError(f"{where}: {len(row)} fields, expected {width}")
-            try:
-                values = np.array(row[start:], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric value") from None
-            if not np.isfinite(values).all():
-                raise ValueError(f"{where}: non-finite value")
+            values = None
+            if keep is None or row[0] in keep:
+                try:
+                    values = np.array(row[start:], dtype=np.float64)
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric value") from None
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{where}: non-finite value")
             if unique:
                 if row[0] in seen:
                     raise ValueError(f"{where}: duplicate {fixed[0]} {row[0]!r}")

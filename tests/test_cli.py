@@ -1,11 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emovid.cli import main, read_descriptors
 from emovid.ensemble import read_predictions, read_scores, read_weight_row
-from emovid.ingest import write_audio_features, write_descriptors, write_manifest, ManifestEntry
+from emovid.ingest import (
+    ManifestEntry,
+    load_manifest,
+    write_audio_features,
+    write_descriptors,
+    write_manifest,
+)
 from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict
 
 
@@ -377,6 +384,19 @@ def test_predict_without_manifest_scores_all_rows(synth_dir, capsys, tmp_path):
     assert read_scores(tmp_path / "all.csv").num_videos == 84
 
 
+def test_predict_refuses_a_manifest_without_splits(synth_dir, capsys, tmp_path):
+    ds = synth_dir / "ds"
+    manifest = str(ds / "manifest.jsonl")
+    run_ok(capsys, "aggregate", "--manifest", manifest, "--out", str(tmp_path / "d"))
+    desc = str(tmp_path / "d" / "frames.csv")
+    run_ok(capsys, "train", "--descriptors", desc, "--manifest", manifest,
+           "--out", str(tmp_path / "m.json"))
+    err = run_fail(capsys, "predict", "--model", str(tmp_path / "m.json"), "--descriptors", desc,
+                   "--manifest", manifest, "--out", str(tmp_path / "s.csv"))
+    assert "--manifest requires --splits" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_rerun_commands_byte_identical(synth_dir, capsys, tmp_path):
     ds = synth_dir / "ds"
     manifest = str(ds / "manifest.jsonl")
@@ -434,6 +454,16 @@ BAD_DOCUMENTS = [
     ("predict", model_doc(), "range_scaler"),
     ("predict", model_doc(top={"weights": "abc"}), "weights"),
     ("predict", model_doc(top={"weights": [[0.0] * 3] * 6 + [[0.0] * 2]}), "weights"),
+    # parameters for a disabled stage, and parameters of the wrong width (weights: 2 + bias)
+    ("predict", model_doc(top={"standardizer": {"means": [0.0, 0.0], "stds": [1.0, 1.0]}},
+                          config={"normalization": {"range_scale": False, "standardize": False}}),
+     "config.normalization.standardize"),
+    ("predict", model_doc(top={"range_scaler": {"mins": [0.0], "maxs": [1.0]}},
+                          config={"normalization": {"range_scale": True, "standardize": False}}),
+     "range_scaler.mins"),
+    ("predict", model_doc(top={"standardizer": {"means": [0.0] * 3, "stds": [1.0] * 3}},
+                          config={"normalization": {"range_scale": False, "standardize": True}}),
+     "standardizer.means"),
 ]
 
 
@@ -533,3 +563,27 @@ def test_train_reads_no_feature_file_and_cv_counts_missing_rows(capsys, tmp_path
     err = run_fail(capsys, "cv", "--descriptors", str(tmp_path / "partial.csv"),
                    "--manifest", str(manifest), "--config", config)
     assert "1 of 6 videos in splits train have no descriptor row" in err
+
+
+def test_a_bad_cell_fails_only_the_commands_that_read_its_row(capsys, tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    config = write_audio_dataset(tmp_path, manifest)
+    entries = load_manifest(manifest).entries
+    write_manifest([*entries, replace(entries[0], video_id="v_test", split="test")], manifest)
+    run_ok(capsys, "aggregate", "--manifest", str(manifest), "--config", config,
+           "--out", str(tmp_path / "d"))
+    desc = tmp_path / "d" / "audio.csv"
+    lines = desc.read_text().splitlines()  # the header, 6 train rows, then v_test on line 8
+    common = ["--descriptors", str(desc), "--manifest", str(manifest)]
+    model = ["--model", str(tmp_path / "model.json"), *common, "--out", str(tmp_path / "s.csv")]
+
+    desc.write_text("\n".join([*lines[:7], lines[7].rsplit(",", 1)[0] + ",nan"]) + "\n")
+    run_ok(capsys, "train", *common, "--config", config, "--out", str(tmp_path / "model.json"))
+    run_ok(capsys, "predict", *model, "--splits", "train")
+    err = run_fail(capsys, "predict", *model, "--splits", "test")
+    assert f"{desc}: line 8: non-finite value" in err
+
+    # a row of the wrong width fails every command, whatever its split
+    desc.write_text("\n".join([*lines[:7], "v_test,1"]) + "\n")
+    err = run_fail(capsys, "train", *common, "--config", config, "--out", str(tmp_path / "m2.json"))
+    assert f"{desc}: line 8: 2 fields, expected 6" in err

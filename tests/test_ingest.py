@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -392,17 +393,18 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
         weights = data.draw(arrays(np.float64, (7, dim + svm_config.bias), elements=model_floats))
         model = LinearSvmModel(
             weights, svm_config, norm_config,
-            RangeScalerParams(params[:2].min(axis=0), params[:2].max(axis=0)),
-            StandardizerParams(params[2], np.abs(params[3])),
+            RangeScalerParams(params[:2].min(axis=0), params[:2].max(axis=0))
+            if norm_config.range_scale else None,
+            StandardizerParams(params[2], np.abs(params[3])) if norm_config.standardize else None,
         )
         saved, resaved = Path(tmp) / "model.json", Path(tmp) / "again.json"
         save_model(model, saved)
         loaded = load_model(saved)
         assert (loaded.config, loaded.norm_config) == (svm_config, norm_config)
         assert same_bits(loaded.weights, model.weights)
-        for name in ("mins", "maxs"):
+        for name in ("mins", "maxs") if norm_config.range_scale else ():
             assert same_bits(getattr(loaded.range_scaler, name), getattr(model.range_scaler, name))
-        for name in ("means", "stds"):
+        for name in ("means", "stds") if norm_config.standardize else ():
             assert same_bits(getattr(loaded.standardizer, name), getattr(model.standardizer, name))
         save_model(loaded, resaved)
         assert resaved.read_bytes() == saved.read_bytes()
@@ -567,3 +569,112 @@ def test_reader_raises_what_the_reference_reader_raises(frame_rows, id_rows):
             with mock.patch.object(ingest, "_read_rows", reference_read_rows):
                 want = outcome(read, path)
             assert got == want
+
+
+# --- filtered reads and the fast path --------------------------------------------
+
+plain_ids = st.text(st.sampled_from("abc7_-. "), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ids=st.lists(plain_ids, min_size=1, max_size=6, unique=True),
+    data=st.data(),
+)
+def test_filtered_read_equals_full_read_then_selection(ids, data):
+    matrix = data.draw(matrices(st.just(len(ids)), st.integers(1, 4)))
+    keep = data.draw(st.sets(st.sampled_from(ids) | plain_ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "desc.csv"
+        write_descriptors(ids, matrix, path)
+        all_ids, full = read_descriptors(path)
+        got_ids, got = read_descriptors(path, keep)
+    picked = [i for i, vid in enumerate(all_ids) if vid in keep]
+    assert got_ids == tuple(all_ids[i] for i in picked)
+    assert got.tobytes() == full[picked].tobytes() and len(got) == len(picked)
+
+
+def test_filtered_read_checks_every_row_but_parses_only_kept_ones(tmp_path):
+    path = tmp_path / "desc.csv"
+    path.write_text("id,x0,x1\na,1,2\nb,nan,2\n\nc,3,zz\n")
+    ids, matrix = read_descriptors(path, {"a"})
+    assert ids == ("a",) and matrix.tolist() == [[1.0, 2.0]]
+    with pytest.raises(ValueError, match=r"line 3: non-finite value"):
+        read_descriptors(path, {"b", "c"})
+    with pytest.raises(ValueError, match=r"line 5: non-numeric value"):
+        read_descriptors(path, {"c"})
+    for text, error in (("id,x0,x1\na,1,2\nb,1\nc,3,4\n", "line 3: 2 fields, expected 3"),
+                        ("id,x0,x1\na,1,2\nb,1,2\na,3,4\n", "line 4: duplicate id 'a'"),
+                        ('id,x0,x1\na,1,2\n"b",zz,2\nb,3,4\n', "line 4: duplicate id 'b'")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+            read_descriptors(path, {"c"})
+    path.write_text("id,x0,x1\n\n")
+    with pytest.raises(ValueError, match="no descriptor rows"):
+        read_descriptors(path, {"a"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_rows=st.lists(id_lines, max_size=12), keep=st.sets(st.sampled_from("abcdefghijk")))
+def test_filtered_reader_raises_what_the_reference_reader_raises(id_rows, keep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "desc.csv"
+        path.write_text("\n".join(["id,x0,x1", *id_rows]) + "\n")
+        got = outcome(lambda p: read_descriptors(p, keep), path)
+        with mock.patch.object(ingest, "_read_rows", reference_read_rows):
+            want = outcome(lambda p: read_descriptors(p, keep), path)
+        assert got == want
+
+
+def test_writer_files_are_read_without_the_csv_reader(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+    matrix = np.vstack([rng.standard_normal((3, 6)) * 1e-5, special])
+    ids = ["v1", "v_2", "v 3", "é4"]
+    frames = np.stack([matrix, -matrix], axis=1)  # (4 frames, 2 variants, 6)
+    path = tmp_path / "t.csv"
+    with mock.patch.object(ingest, "_csv_rows", side_effect=AssertionError("csv reader")):
+        write_descriptors(ids, matrix, path)
+        got_ids, got = read_descriptors(path)
+        assert got_ids == tuple(ids) and got.tobytes() == matrix.tobytes()
+        got_ids, got = read_descriptors(path, {"v_2", "é4", "other"})
+        assert got_ids == ("v_2", "é4") and got.tobytes() == matrix[[1, 3]].tobytes()
+        write_frame_features(FrameFeatureSequence("v", frames), path)
+        assert load_frame_features(path).frames.tobytes() == frames.tobytes()
+        write_audio_features(matrix[3], path)
+        assert load_audio_features(path).tobytes() == matrix[3].tobytes()
+        write_scores(ScoreMatrix(tuple(ids), matrix[:, :1].repeat(7, axis=1)), path)
+        assert read_scores(path).scores.tobytes() == matrix[:, :1].repeat(7, axis=1).tobytes()
+        write_predictions(ids, [EmotionLabel(0)] * 4, path)
+        assert read_predictions(path) == (tuple(ids), [EmotionLabel(0)] * 4)
+
+
+@pytest.mark.parametrize("text, ids, rows", [
+    ('id,x0,x1\n"a,b",1,2\nc,3,4\n', ("a,b", "c"), [[1, 2], [3, 4]]),  # a quoted id
+    ('"id",x0,x1\na,1,2\n', ("a",), [[1, 2]]),  # a quoted header name
+    ("id,x0,x1\na,1,2\nb,1_0,4\n", ("a", "b"), [[1, 2], [10, 4]]),  # float() reads it, loadtxt not
+    ("id,x0,x1\na,1,2\nb,１.5,4\n", ("a", "b"), [[1, 2], [1.5, 4]]),
+])
+def test_cells_loadtxt_refuses_read_through_the_csv_reader(tmp_path, text, ids, rows):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(ingest, "_csv_rows", wraps=ingest._csv_rows) as csv_rows:
+        got_ids, matrix = read_descriptors(path)
+    assert csv_rows.call_count == 1
+    assert got_ids == ids and matrix.tolist() == rows
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_descriptors, "id,x0\n"),
+    (lambda path: read_descriptors(path, {"a"}), "id,x0\n\n\n"),
+    (lambda path: read_descriptors(path, set()), "id,x0\na,1\n"),
+    (read_descriptors, "id,x0\na,\n"),
+    (read_predictions, "id,label\n"),
+    (load_audio_features, "f0\n"),
+])
+def test_reader_never_hands_loadtxt_an_empty_input(tmp_path, read, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome(read, path)
