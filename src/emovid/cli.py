@@ -19,7 +19,7 @@ import numpy as np
 
 from .aggregate import AggregationConfig, build_video_descriptor
 from .core import SPLITS, ClassWeights, EmotionLabel, label_from_name
-from .ensemble import EnsembleConfig, class_weights_from_counts, predict, run_ensemble
+from .ensemble import SCORE_MODES, EnsembleConfig, class_weights_from_counts, predict, run_ensemble
 from .evaluate import evaluate, render_report, report_to_dict
 from .ingest import (
     load_audio_features,
@@ -54,16 +54,6 @@ DEFAULT_CV_GRID = tuple(2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6))
 
 
 @dataclass(frozen=True)
-class ScoreConfig:
-    """The config's "ensemble" section; --mode overrides it."""
-
-    score_mode: str = "softmax"
-
-    def __post_init__(self):
-        EnsembleConfig(self.score_mode)  # raises on a mode ensemble does not know
-
-
-@dataclass(frozen=True)
 class CvConfig:
     grid: tuple[float, ...] = DEFAULT_CV_GRID
     folds: int = 5
@@ -84,7 +74,7 @@ class PipelineConfig:
     )
     normalization: NormalizationConfig = NormalizationConfig()
     svm: SvmTrainConfig = SvmTrainConfig()
-    ensemble: ScoreConfig = ScoreConfig()
+    ensemble: EnsembleConfig = EnsembleConfig()
     cv: CvConfig = CvConfig()
 
     def __post_init__(self):
@@ -229,14 +219,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         svm_cfg = replace(svm_cfg, seed=derive_seed(args.seed, "train"))
     params = fit_normalization(X, config.normalization)
-    model = train_ovr(
-        apply_normalization(X, params),
-        labels,
-        svm_cfg,
-        norm_config=params.config,
-        range_scaler=params.range_scaler,
-        standardizer=params.standardizer,
-    )
+    model = train_ovr(apply_normalization(X, params), labels, svm_cfg, params)
     save_model(model, args.out)
     print(f"trained on {len(ids)} videos ({','.join(splits)}); model -> {args.out}")
     return 0
@@ -287,9 +270,8 @@ def cmd_ensemble(args) -> int:
     config = load_pipeline_config(args.config)
     mode = args.mode if args.mode is not None else config.ensemble.score_mode
     weights = _class_weights_from_args(args)
-    cfg = EnsembleConfig(score_mode=mode, class_weights=weights)
     streams = [read_scores(p) for p in args.scores]
-    combined = run_ensemble(streams, cfg)
+    combined = run_ensemble(streams, EnsembleConfig(mode), weights)
     write_scores(combined, args.out)
     print(f"combined {len(streams)} stream(s) in {mode} mode -> {args.out}")
     if args.predictions:
@@ -384,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="combine score streams")
     p.add_argument("--scores", nargs="+", required=True, help="score CSVs to combine")
     p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--mode", choices=("raw", "softmax"))
+    p.add_argument("--mode", choices=SCORE_MODES)
     p.add_argument("--counts", help="7 comma-separated class counts")
     p.add_argument("--counts-file", help="CSV row of 7 class counts")
     p.add_argument("--weights", help="7 comma-separated class weights")

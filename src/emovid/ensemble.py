@@ -28,8 +28,9 @@ SCORE_MODES = ("raw", "softmax")
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """The pipeline config's "ensemble" section; ensemble --mode overrides it."""
+
     score_mode: str = "softmax"
-    class_weights: ClassWeights | None = None
 
     def __post_init__(self):
         if self.score_mode not in SCORE_MODES:
@@ -102,11 +103,11 @@ def predict(scores: ScoreMatrix) -> list:
     return [EmotionLabel(int(i)) for i in scores.scores.argmax(axis=1)]
 
 
-def run_ensemble(streams, cfg: EnsembleConfig = EnsembleConfig()) -> ScoreMatrix:
-    """combine_streams plus optional class weighting per the config."""
+def run_ensemble(streams, cfg: EnsembleConfig = EnsembleConfig(), weights=None) -> ScoreMatrix:
+    """combine_streams, then apply_class_weights with the ClassWeights when given."""
     combined = combine_streams(streams, cfg)
-    if cfg.class_weights is not None:
+    if weights is not None:
         if cfg.score_mode != "softmax":
             raise ValueError("class weights require softmax score mode")
-        combined = apply_class_weights(combined, cfg.class_weights)
+        combined = apply_class_weights(combined, weights)
     return combined

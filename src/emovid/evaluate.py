@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EMOTION_SHORT_NAMES, NUM_CLASSES, EmotionLabel
+from .util import config_to_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +69,4 @@ def render_report(report: EvaluationReport) -> str:
 
 def report_to_dict(report: EvaluationReport) -> dict:
     """JSON-ready form: accuracy fraction, confusion, recalls, n."""
-    return {
-        "accuracy": float(report.accuracy),
-        "confusion": [[int(v) for v in row] for row in report.confusion],
-        "per_class_recall": [float(v) for v in report.per_class_recall],
-        "n": int(report.n),
-    }
+    return config_to_dict(report)

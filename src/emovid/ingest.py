@@ -289,17 +289,20 @@ def _csv_rows(path, fixed, features, unique, keep):
         def where():
             return f"{path}: line {reader.line_num}"
 
-        header = None if fixed is None else tuple(next(reader, ()))
-        width, start = _layout(path, fixed, features, header)
-        for row in reader:
-            if not row:
-                continue
-            values = _row_values(row, width, start, where, keep is None or row[0] in keep)
-            if unique:
-                if row[0] in seen:
-                    raise ValueError(f"{where()}: duplicate {fixed[0]} {row[0]!r}")
-                seen.add(row[0])
-            yield reader.line_num, row[:start], values
+        try:
+            header = None if fixed is None else tuple(next(reader, ()))
+            width, start = _layout(path, fixed, features, header)
+            for row in reader:
+                if not row:
+                    continue
+                values = _row_values(row, width, start, where, keep is None or row[0] in keep)
+                if unique:
+                    if row[0] in seen:
+                        raise ValueError(f"{where()}: duplicate {fixed[0]} {row[0]!r}")
+                    seen.add(row[0])
+                yield reader.line_num, row[:start], values
+        except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+            raise ValueError(f"{where()}: {exc}") from None
 
 
 def _write_rows(path, header, rows) -> None:

@@ -81,11 +81,25 @@ class NormalizationConfig:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Fitted chain: config plus the params of the enabled stages."""
+    """Fitted chain: the config, and params set exactly when their stage
+    is on. Errors name the keys a model file stores the chain under."""
 
-    config: NormalizationConfig = NormalizationConfig()
+    config: NormalizationConfig
     range_scaler: RangeScalerParams | None = None
     standardizer: StandardizerParams | None = None
+
+    def __post_init__(self):
+        for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize")):
+            enabled, params = getattr(self.config, flag), getattr(self, key)
+            stage = f"config.normalization.{flag}"
+            if params is None and enabled:
+                raise ValueError(f"model key {key!r}: null, but {stage} is true")
+            if params is not None and not enabled:
+                raise ValueError(f"model key {stage!r}: false, but {key!r} is set")
+
+
+# every stage off: apply_normalization returns its input
+IDENTITY_NORMALIZATION = NormalizationParams(NormalizationConfig(False, False, False))
 
 
 def _as_matrix(descriptors) -> np.ndarray:

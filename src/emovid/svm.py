@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .core import EMOTION_NAMES, NUM_CLASSES, EmotionLabel, ScoreMatrix
 from .normalize import (
+    IDENTITY_NORMALIZATION,
     NormalizationConfig,
     NormalizationParams,
     RangeScalerParams,
@@ -34,10 +35,9 @@ from .normalize import (
     fit_normalization,
 )
 from .ingest import read_json, write_json
-from .util import config_from_dict, config_to_dict, decode_value
+from .util import config_from_dict, config_to_dict
 
 MODEL_FORMAT_VERSION = 1
-_MODEL_KEYS = ("format_version", "config", "range_scaler", "standardizer", "weights", "label_order")
 
 # coordinate updates below this projected-gradient magnitude are skipped
 _UPDATE_EPS = 1e-12
@@ -78,10 +78,7 @@ class LinearSvmModel:
 
     weights: np.ndarray  # (7, D) or (7, D+1) with bias
     config: SvmTrainConfig
-    norm_config: NormalizationConfig = NormalizationConfig()
-    range_scaler: RangeScalerParams | None = None
-    standardizer: StandardizerParams | None = None
-    format_version: int = MODEL_FORMAT_VERSION
+    normalization: NormalizationParams = IDENTITY_NORMALIZATION
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=np.float64)
@@ -89,12 +86,14 @@ class LinearSvmModel:
             raise ValueError(f"weights must be ({NUM_CLASSES}, D), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("non-finite weight")
+        width = arr.shape[1] - self.config.bias
+        for key, params in (("range_scaler.mins", self.normalization.range_scaler),
+                            ("standardizer.means", self.normalization.standardizer)):
+            if params is not None and params.dim != width:
+                raise ValueError(f"model key {key!r}: {params.dim} columns, "
+                                 f"but the weights have {width} features")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-
-    @property
-    def normalization(self) -> NormalizationParams:
-        return NormalizationParams(self.norm_config, self.range_scaler, self.standardizer)
 
 
 def add_bias_column(X: np.ndarray) -> np.ndarray:
@@ -243,9 +242,7 @@ def train_ovr(
     X: np.ndarray,
     labels,
     cfg: SvmTrainConfig,
-    norm_config: NormalizationConfig = NormalizationConfig(),
-    range_scaler: RangeScalerParams | None = None,
-    standardizer: StandardizerParams | None = None,
+    normalization: NormalizationParams = IDENTITY_NORMALIZATION,
     debug: bool = False,
     full_output: bool = False,
 ):
@@ -253,8 +250,8 @@ def train_ovr(
 
     Each class gets a fresh generator seeded with cfg.seed + class index,
     so row c of the weights equals train_binary(X, y_c, cfg with seed
-    cfg.seed + c). X is expected to be already normalized; the fitted
-    normalization params are carried on the model for serialization.
+    cfg.seed + c). X is expected to be already normalized by the fitted
+    normalization, which the model carries for predict and serialization.
     Returns the model; solves stopped at cfg.max_epochs are logged as one
     warning. With full_output=True returns (model, the 7 SolverInfo) and
     leaves that report to the caller.
@@ -278,7 +275,7 @@ def train_ovr(
         )
         weight_rows.append(w)
         infos.append(info)
-    model = LinearSvmModel(np.stack(weight_rows), cfg, norm_config, range_scaler, standardizer)
+    model = LinearSvmModel(np.stack(weight_rows), cfg, normalization)
     if full_output:
         return model, tuple(infos)
     _warn_capped(cfg, [(cfg.C, infos)])
@@ -405,58 +402,45 @@ def cross_validate_c(
     return grid[best], mean_accuracies
 
 
+@dataclass(frozen=True)
+class _StoredConfig(SvmTrainConfig):
+    """A model file's "config" object: the solver config and the stages."""
+
+    normalization: NormalizationConfig = NormalizationConfig()
+
+
+@dataclass(frozen=True)
+class _StoredModel:
+    """A model file's JSON object, key for key; every key is required."""
+
+    format_version: int
+    config: _StoredConfig
+    range_scaler: RangeScalerParams | None
+    standardizer: StandardizerParams | None
+    weights: tuple[np.ndarray, ...]  # written from the (7, D) array
+    label_order: tuple[str, ...]
+
+
 def model_to_dict(model: LinearSvmModel) -> dict:
-    return {
-        "format_version": model.format_version,
-        "config": {
-            **config_to_dict(model.config),
-            "normalization": config_to_dict(model.norm_config),
-        },
-        "range_scaler": None if model.range_scaler is None else config_to_dict(model.range_scaler),
-        "standardizer": None if model.standardizer is None else config_to_dict(model.standardizer),
-        "weights": model.weights.tolist(),
-        "label_order": list(EMOTION_NAMES),
-    }
+    norm = model.normalization
+    stored_config = _StoredConfig(**vars(model.config), normalization=norm.config)
+    return config_to_dict(_StoredModel(MODEL_FORMAT_VERSION, stored_config, norm.range_scaler,
+                                       norm.standardizer, model.weights, EMOTION_NAMES))
 
 
 def model_from_dict(doc: dict) -> LinearSvmModel:
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version: {version!r}")
-    if tuple(doc.get("label_order", ())) != EMOTION_NAMES:
-        raise ValueError(f"unexpected label order: {doc.get('label_order')!r}")
-    if sorted(doc) != sorted(_MODEL_KEYS):
-        raise ValueError(f"model keys {sorted(doc)}, expected {sorted(_MODEL_KEYS)}")
-    if not isinstance(doc["config"], dict):
-        raise ValueError("model key 'config': expected an object")
-    cfg_doc = dict(doc["config"])
-    norm_config = config_from_dict(
-        NormalizationConfig, cfg_doc.pop("normalization", {}), "model", "config.normalization."
-    )
-    cfg = config_from_dict(SvmTrainConfig, cfg_doc, "model", "config.")
-    scalers = [
-        None if doc[key] is None else config_from_dict(cls, doc[key], "model", key + ".")
-        for key, cls in (("range_scaler", RangeScalerParams), ("standardizer", StandardizerParams))
-    ]
-    weights = decode_value(doc["weights"], tuple[np.ndarray, ...], "model", "weights")
-    if len({row.size for row in weights}) > 1:
+    stored = config_from_dict(_StoredModel, doc, "model")
+    if stored.label_order != EMOTION_NAMES:
+        raise ValueError(f"unexpected label order: {doc['label_order']!r}")
+    if len({row.size for row in stored.weights}) > 1:
         raise ValueError("model key 'weights': rows of unequal length")
-    model = LinearSvmModel(weights, cfg, norm_config, *scalers)
-    width = model.weights.shape[1] - cfg.bias
-    for (key, flag, column), params in zip(
-        (("range_scaler", "range_scale", "mins"), ("standardizer", "standardize", "means")), scalers
-    ):
-        enabled = getattr(norm_config, flag)
-        if params is None and enabled:
-            raise ValueError(f"model key {key!r}: null, but config.normalization.{flag} is true")
-        if params is not None and not enabled:
-            raise ValueError(f"model key 'config.normalization.{flag}': false, but {key!r} is set")
-        if params is not None and getattr(params, column).size != width:
-            raise ValueError(
-                f"model key '{key}.{column}': {getattr(params, column).size} columns, "
-                f"but the weights have {width} features"
-            )
-    return model
+    cfg = stored.config
+    solver = SvmTrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(SvmTrainConfig)})
+    normalization = NormalizationParams(cfg.normalization, stored.range_scaler, stored.standardizer)
+    return LinearSvmModel(stored.weights, solver, normalization)
 
 
 def save_model(model: LinearSvmModel, path) -> None:

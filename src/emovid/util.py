@@ -18,8 +18,9 @@ def config_from_dict(cls, doc, what: str = "config", prefix: str = ""):
     Keys and value types are checked at every level against the field
     annotations: nested dataclasses recurse, dict[str, X] maps its values,
     tuple[X, ...] and tuple[X, Y] take JSON lists, np.ndarray takes a list
-    of numbers as a float64 array, X | Y takes either, and float fields
-    accept integers. A field's JSON key is its name, or the "key" in its
+    of numbers as a float64 array, X | Y takes either (a non-null value
+    of a dataclass X | None is decoded as X), and float fields accept
+    integers. A field's JSON key is its name, or the "key" in its
     metadata (field(metadata={"key": "id"})). Missing keys take the field
     defaults; a field without a default must be present. An unknown,
     missing or ill-typed key raises ValueError naming the dotted key
@@ -58,6 +59,9 @@ def decode_value(value, hint, what: str, key: str):
         if isinstance(value, dict):
             return config_from_dict(hint, value, what, key + ".")
     elif origin is types.UnionType:
+        section = [arm for arm in args if arm is not type(None)]
+        if value is not None and len(section) == 1 and dataclasses.is_dataclass(section[0]):
+            return decode_value(value, section[0], what, key)  # a fault names its inner key
         for arm in args:
             try:
                 return decode_value(value, arm, what, key)

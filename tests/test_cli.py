@@ -13,7 +13,7 @@ from emovid.ingest import (
     write_descriptors,
     write_manifest,
 )
-from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict
+from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict, save_model
 
 
 def run_ok(capsys, *argv):
@@ -451,7 +451,7 @@ BAD_DOCUMENTS = [
     ("predict", model_doc(top={"range_scaler": {"mins": [0.0, True], "maxs": [1.0, 1.0]}}),
      "range_scaler.mins"),
     ("predict", model_doc(config={"normalization": 3}), "config.normalization"),
-    ("predict", model_doc(), "range_scaler"),
+    ("predict", model_doc(config={"normalization": {}}), "range_scaler"),
     ("predict", model_doc(top={"weights": "abc"}), "weights"),
     ("predict", model_doc(top={"weights": [[0.0] * 3] * 6 + [[0.0] * 2]}), "weights"),
     # parameters for a disabled stage, and parameters of the wrong width (weights: 2 + bias)
@@ -587,3 +587,12 @@ def test_a_bad_cell_fails_only_the_commands_that_read_its_row(capsys, tmp_path):
     desc.write_text("\n".join([*lines[:7], "v_test,1"]) + "\n")
     err = run_fail(capsys, "train", *common, "--config", config, "--out", str(tmp_path / "m2.json"))
     assert f"{desc}: line 8: 2 fields, expected 6" in err
+
+
+def test_a_cell_over_the_csv_field_limit_is_one_error_line(capsys, tmp_path):
+    save_model(LinearSvmModel(np.zeros((7, 2)), SvmTrainConfig()), tmp_path / "model.json")
+    desc = tmp_path / "d.csv"
+    desc.write_text('id,x0\n"' + "a" * 140000 + '",1\n')
+    err = run_fail(capsys, "predict", "--model", str(tmp_path / "model.json"),
+                   "--descriptors", str(desc), "--out", str(tmp_path / "s.csv"))
+    assert f"{desc}: line 2: field larger than field limit" in err

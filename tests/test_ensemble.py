@@ -161,7 +161,7 @@ def test_run_ensemble_raw_with_weights_rejected():
     weights = class_weights_from_counts([1] * 7)
     stream = scores_of(np.zeros((1, 7)))
     with pytest.raises(ValueError, match="softmax"):
-        run_ensemble([stream], EnsembleConfig("raw", weights))
+        run_ensemble([stream], EnsembleConfig("raw"), weights)
 
 
 def test_score_csv_round_trip(tmp_path):

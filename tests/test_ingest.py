@@ -16,9 +16,9 @@ from helpers import reference_read_rows, reference_write_rows
 
 from emovid import ingest
 from emovid.aggregate import AGGREGATOR_NAMES, AggregationConfig
-from emovid.cli import CvConfig, PipelineConfig, ScoreConfig
+from emovid.cli import CvConfig, PipelineConfig
 from emovid.core import EMOTION_NAMES, SPLITS, EmotionLabel, FrameFeatureSequence, ScoreMatrix
-from emovid.ensemble import SCORE_MODES, class_weights_from_counts
+from emovid.ensemble import SCORE_MODES, EnsembleConfig, class_weights_from_counts
 from emovid.ingest import (
     ManifestEntry,
     load_audio_features,
@@ -38,7 +38,12 @@ from emovid.ingest import (
     write_scores,
     write_weights,
 )
-from emovid.normalize import NormalizationConfig, RangeScalerParams, StandardizerParams
+from emovid.normalize import (
+    NormalizationConfig,
+    NormalizationParams,
+    RangeScalerParams,
+    StandardizerParams,
+)
 from emovid.svm import LinearSvmModel, SvmTrainConfig, load_model, save_model
 from emovid.synth import SynthConfig
 from emovid.util import config_from_dict, config_to_dict
@@ -318,7 +323,7 @@ pipeline_configs = st.builds(
     st.dictionaries(st.text(min_size=1, max_size=5), aggregation_configs, min_size=1, max_size=3),
     normalization_configs,
     svm_configs,
-    st.builds(ScoreConfig, st.sampled_from(SCORE_MODES)),
+    st.builds(EnsembleConfig, st.sampled_from(SCORE_MODES)),
     st.builds(CvConfig, st.lists(positive, min_size=1, max_size=8).map(tuple), st.integers(2, 10)),
 )
 synth_configs = st.integers(1, 50).flatmap(
@@ -391,21 +396,23 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
         dim = data.draw(st.integers(1, 4))
         params = data.draw(arrays(np.float64, (4, dim), elements=model_floats))
         weights = data.draw(arrays(np.float64, (7, dim + svm_config.bias), elements=model_floats))
-        model = LinearSvmModel(
-            weights, svm_config, norm_config,
+        model = LinearSvmModel(weights, svm_config, NormalizationParams(
+            norm_config,
             RangeScalerParams(params[:2].min(axis=0), params[:2].max(axis=0))
             if norm_config.range_scale else None,
             StandardizerParams(params[2], np.abs(params[3])) if norm_config.standardize else None,
-        )
+        ))
         saved, resaved = Path(tmp) / "model.json", Path(tmp) / "again.json"
         save_model(model, saved)
-        loaded = load_model(saved)
-        assert (loaded.config, loaded.norm_config) == (svm_config, norm_config)
+        loaded, norm = load_model(saved), model.normalization
+        assert (loaded.config, loaded.normalization.config) == (svm_config, norm_config)
         assert same_bits(loaded.weights, model.weights)
         for name in ("mins", "maxs") if norm_config.range_scale else ():
-            assert same_bits(getattr(loaded.range_scaler, name), getattr(model.range_scaler, name))
+            assert same_bits(getattr(loaded.normalization.range_scaler, name),
+                             getattr(norm.range_scaler, name))
         for name in ("means", "stds") if norm_config.standardize else ():
-            assert same_bits(getattr(loaded.standardizer, name), getattr(model.standardizer, name))
+            assert same_bits(getattr(loaded.normalization.standardizer, name),
+                             getattr(norm.standardizer, name))
         save_model(loaded, resaved)
         assert resaved.read_bytes() == saved.read_bytes()
 
@@ -678,3 +685,11 @@ def test_reader_never_hands_loadtxt_an_empty_input(tmp_path, read, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         outcome(read, path)
+
+
+def test_a_cell_over_the_csv_field_limit_is_a_value_error(tmp_path):
+    path = tmp_path / "d.csv"
+    long_id = "a" * (csv.field_size_limit() + 8)
+    path.write_text(f'id,x0\nb,2\n"{long_id}",1\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: field larger than field limit")):
+        read_descriptors(path)

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emovid.normalize import (
+    IDENTITY_NORMALIZATION,
     NormalizationConfig,
+    NormalizationParams,
     apply_normalization,
     apply_range_scaler,
     apply_standardizer,
@@ -164,6 +167,33 @@ def test_normalization_toggles():
     params = fit_normalization(matrix, NormalizationConfig(False, False, False))
     np.testing.assert_array_equal(apply_normalization(matrix, params), matrix)
     assert params.range_scaler is None and params.standardizer is None
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
+def test_stage_params_are_set_exactly_when_the_stage_is_on(flags):
+    config = NormalizationConfig(*flags)
+    matrix = np.random.default_rng(9).standard_normal((5, 3))
+    fitted = fit_normalization(matrix, config)
+    NormalizationParams(config, fitted.range_scaler, fitted.standardizer)
+    full = fit_normalization(matrix)
+    for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize")):
+        scalers = {"range_scaler": fitted.range_scaler, "standardizer": fitted.standardizer}
+        if getattr(config, flag):
+            scalers[key] = None
+            message = f"'{key}': null, but config.normalization.{flag} is true"
+        else:
+            scalers[key] = getattr(full, key)
+            message = f"'config.normalization.{flag}': false, but '{key}' is set"
+        with pytest.raises(ValueError, match=message):
+            NormalizationParams(config, **scalers)
+
+
+def test_identity_normalization_returns_its_input():
+    matrix = np.random.default_rng(4).standard_normal((4, 3))
+    assert apply_normalization(matrix, IDENTITY_NORMALIZATION).tobytes() == matrix.tobytes()
+    assert fit_normalization(matrix, NormalizationConfig(False, False, False)) == (
+        IDENTITY_NORMALIZATION
+    )
 
 
 @settings(max_examples=300, deadline=None)

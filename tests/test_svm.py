@@ -6,6 +6,7 @@ import pytest
 from helpers import cluster_labels_matrix, margin_suite
 
 from emovid.core import EmotionLabel
+from emovid.normalize import NormalizationConfig, apply_normalization, fit_normalization
 from emovid.svm import (
     LinearSvmModel,
     SvmTrainConfig,
@@ -295,21 +296,44 @@ def test_model_round_trip_bit_exact(tmp_path):
         apply_normalization(X, params),
         labels,
         SvmTrainConfig(C=0.5, seed=3),
-        norm_config=params.config,
-        range_scaler=params.range_scaler,
-        standardizer=params.standardizer,
+        params,
     )
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
     assert (loaded.weights == model.weights).all()
     assert loaded.config == model.config
-    assert (loaded.range_scaler.mins == model.range_scaler.mins).all()
-    assert (loaded.standardizer.stds == model.standardizer.stds).all()
+    assert (loaded.normalization.range_scaler.mins == model.normalization.range_scaler.mins).all()
+    assert (loaded.normalization.standardizer.stds == model.normalization.standardizer.stds).all()
     # identical bytes when re-saved
     again = tmp_path / "model2.json"
     save_model(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_library_trained_model_saves_loads_and_applies(tmp_path):
+    X, labels = cluster_labels_matrix(n_per_class=4, d=6, separation=6.0, sigma=1.0, seed=11)
+    model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert loaded.normalization.config == NormalizationConfig(False, False, False)
+    assert apply_normalization(X, loaded.normalization).tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("norm_config, key", [
+    (NormalizationConfig(), "range_scaler.mins"),
+    (NormalizationConfig(range_scale=False), "standardizer.means"),
+])
+def test_scaler_columns_must_match_the_weights(norm_config, key):
+    params = fit_normalization(np.arange(6.0).reshape(3, 2), norm_config)  # 2 columns
+    LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig(), params)
+    LinearSvmModel(np.zeros((7, 2)), SvmTrainConfig(bias=False), params)
+    for width, bias in ((4, True), (3, False), (2, True)):
+        with pytest.raises(ValueError, match=rf"'{key}': 2 columns, but the weights have "
+                                             rf"{width - bias} features"):
+            LinearSvmModel(np.zeros((7, width)), SvmTrainConfig(bias=bias), params)
 
 
 def test_model_load_rejects_bad_documents():
