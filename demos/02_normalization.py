@@ -12,7 +12,6 @@ import numpy as np
 from emovid import (
     apply_normalization,
     fit_normalization,
-    normalize_pipeline,
     rootsift,
 )
 
@@ -21,7 +20,9 @@ rng = np.random.default_rng(1)
 train = rng.standard_normal((40, 6)) * np.array([1, 5, 0.2, 10, 3, 1]) + 2
 val = rng.standard_normal((10, 6)) * np.array([1, 5, 0.2, 10, 3, 1]) + 2
 
-train_n, val_n, params = normalize_pipeline(train, val)
+# fit on the training split only, then apply the same parameters to both
+params = fit_normalization(train)
+train_n, val_n = apply_normalization(train, params), apply_normalization(val, params)
 
 print("training columns after the full chain:")
 print("  means ~0:", np.round(train_n.mean(axis=0), 12))

@@ -1,7 +1,8 @@
 """The whole pipeline on generated data, library-level.
 
-synthesize -> aggregate -> cross-validate C -> normalize + train ->
-score validation videos -> ensemble two streams -> evaluate.
+synthesize -> aggregate -> cross-validate C -> train (the model carries
+its fitted normalization) -> score validation videos -> ensemble two
+streams -> evaluate.
 
 Everything downstream of the generator is deterministic in the seeds, so
 rerunning this script reproduces the same report byte for byte.
@@ -16,7 +17,6 @@ from emovid import (
     EnsembleConfig,
     SvmTrainConfig,
     SynthConfig,
-    apply_normalization,
     combine_streams,
     cross_validate_c,
     decision_scores,
@@ -64,13 +64,8 @@ def train_stream(seed, work_dir):
     print(f"stream seed={seed}: D={x_train.shape[1]}, best C={best_c:g}")
 
     params = fit_normalization(x_train)
-    model = train_ovr(
-        apply_normalization(x_train, params), y_train, SvmTrainConfig(C=best_c, seed=seed)
-    )
-    scores = decision_scores(
-        model, apply_normalization(x_val, params),
-        video_ids=[s.video_id for s in split["val"]],
-    )
+    model = train_ovr(x_train, y_train, SvmTrainConfig(C=best_c, seed=seed), params)
+    scores = decision_scores(model, x_val, video_ids=[s.video_id for s in split["val"]])
     return scores, [s.label for s in split["val"]]
 
 

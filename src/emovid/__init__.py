@@ -59,7 +59,6 @@ from .normalize import (
     fit_normalization,
     fit_range_scaler,
     fit_standardizer,
-    normalize_pipeline,
     rootsift,
 )
 from .svm import (

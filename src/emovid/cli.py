@@ -38,7 +38,7 @@ from .ingest import (
     write_scores,
     write_weights,
 )
-from .normalize import NormalizationConfig, apply_normalization, fit_normalization
+from .normalize import NormalizationConfig, fit_normalization
 from .svm import (
     SvmTrainConfig,
     cross_validate_c,
@@ -218,8 +218,7 @@ def cmd_train(args) -> int:
         svm_cfg = replace(svm_cfg, C=args.c)
     if args.seed is not None:
         svm_cfg = replace(svm_cfg, seed=derive_seed(args.seed, "train"))
-    params = fit_normalization(X, config.normalization)
-    model = train_ovr(apply_normalization(X, params), labels, svm_cfg, params)
+    model = train_ovr(X, labels, svm_cfg, fit_normalization(X, config.normalization))
     save_model(model, args.out)
     print(f"trained on {len(ids)} videos ({','.join(splits)}); model -> {args.out}")
     return 0
@@ -235,8 +234,7 @@ def cmd_predict(args) -> int:
         raise ValueError("--manifest requires --splits")
     else:
         desc_ids, matrix, _, _ = _descriptors_in_splits(args, require_labels=False)
-    normalized = apply_normalization(matrix, model.normalization)
-    scores = decision_scores(model, normalized, video_ids=desc_ids)
+    scores = decision_scores(model, matrix, video_ids=desc_ids)
     write_scores(scores, args.out)
     print(f"wrote scores for {scores.num_videos} videos to {args.out}")
     return 0

@@ -224,8 +224,8 @@ class _Refused(ValueError):
 
 def _fast_rows(path, fixed, features, unique, keep):
     """_read_rows' rows as a list, or None when the file is one to leave to
-    _csv_rows: a line holds a quote or a NUL (which csv.reader refuses
-    before Python 3.11), or a check fails.
+    _csv_rows: a line holds a quote, a NUL (csv.reader refuses it before
+    Python 3.11) or a cell over csv.field_size_limit(), or a check fails.
 
     Lines are split with str operations, and the float cells of the rows
     wanted are streamed into one np.loadtxt, which accepts a subset of the
@@ -233,6 +233,7 @@ def _fast_rows(path, fixed, features, unique, keep):
     raises a ValueError itself, so _csv_rows reports every error.
     """
     seen, rows = set(), []  # rows: (line number, fixed cells, wanted)
+    limit = csv.field_size_limit()
 
     def float_text(lines, width, start):
         """Check each line and yield the float part of the wanted rows."""
@@ -241,6 +242,8 @@ def _fast_rows(path, fixed, features, unique, keep):
             if not text:
                 continue
             if '"' in text or "\0" in text or text.count(",") != width - 1:
+                raise _Refused
+            if len(text) > limit and max(map(len, text.split(","))) > limit:
                 raise _Refused
             cells = text.split(",", start)
             if unique:

@@ -221,15 +221,3 @@ def apply_normalization(x, params: NormalizationParams) -> np.ndarray:
         arr = apply_standardizer(arr, params.standardizer)
     return arr
 
-
-def normalize_pipeline(
-    train, others, config: NormalizationConfig = NormalizationConfig()
-):
-    """Fit the chain on train, apply it to train and others.
-
-    Returns (normalized train, normalized others, fitted params).
-    """
-    params = fit_normalization(train, config)
-    train_out = apply_normalization(_as_matrix(train), params)
-    others_out = apply_normalization(_as_matrix(others), params)
-    return train_out, others_out, params

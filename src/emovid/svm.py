@@ -74,7 +74,8 @@ class SolverInfo:
 
 @dataclass(frozen=True, eq=False)
 class LinearSvmModel:
-    """One-vs-rest weight vectors plus the normalization that fed them."""
+    """A stream's classifier: the fitted normalization chain, then
+    one-vs-rest weight vectors over its output."""
 
     weights: np.ndarray  # (7, D) or (7, D+1) with bias
     config: SvmTrainConfig
@@ -246,17 +247,17 @@ def train_ovr(
     debug: bool = False,
     full_output: bool = False,
 ):
-    """Train 7 independent class-vs-rest problems with identical config.
+    """Train 7 independent class-vs-rest problems with identical config on
+    raw descriptors X through the fitted chain, which the model carries.
 
     Each class gets a fresh generator seeded with cfg.seed + class index,
-    so row c of the weights equals train_binary(X, y_c, cfg with seed
-    cfg.seed + c). X is expected to be already normalized by the fitted
-    normalization, which the model carries for predict and serialization.
-    Returns the model; solves stopped at cfg.max_epochs are logged as one
-    warning. With full_output=True returns (model, the 7 SolverInfo) and
-    leaves that report to the caller.
+    so row c of the weights equals train_binary(apply_normalization(X,
+    normalization), y_c, cfg with seed cfg.seed + c). Returns the model;
+    solves stopped at cfg.max_epochs are logged as one warning. With
+    full_output=True returns (model, the 7 SolverInfo) and leaves that
+    report to the caller.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(apply_normalization(X, normalization), dtype=np.float64)
     label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
     if X.shape[0] != label_idx.size:
         raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
@@ -300,17 +301,20 @@ def _warn_capped(cfg: SvmTrainConfig, runs) -> None:
 
 
 def decision_scores(model: LinearSvmModel, X: np.ndarray, video_ids=None) -> ScoreMatrix:
-    """Raw decision values w_c . x_i for every (video, class) pair."""
+    """Decision values w_c . x_i for every (video, class) pair, x_i being
+    raw descriptor row i after the model's normalization chain."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got ndim={X.ndim}")
-    if model.config.bias:
-        X = add_bias_column(X)
-    if X.shape[1] != model.weights.shape[1]:
+    width = X.shape[1] + model.config.bias
+    if width != model.weights.shape[1]:
         raise ValueError(
-            f"dimension mismatch: inputs have {X.shape[1]} features "
+            f"dimension mismatch: inputs have {width} features "
             f"(bias included), model expects {model.weights.shape[1]}"
         )
+    X = apply_normalization(X, model.normalization)
+    if model.config.bias:
+        X = add_bias_column(X)
     if video_ids is None:
         video_ids = tuple(str(i) for i in range(X.shape[0]))
     return ScoreMatrix(tuple(video_ids), X @ model.weights.T)

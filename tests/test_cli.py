@@ -13,7 +13,8 @@ from emovid.ingest import (
     write_descriptors,
     write_manifest,
 )
-from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict, save_model
+from emovid.normalize import fit_normalization
+from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict, save_model, train_ovr
 
 
 def run_ok(capsys, *argv):
@@ -596,3 +597,14 @@ def test_a_cell_over_the_csv_field_limit_is_one_error_line(capsys, tmp_path):
     err = run_fail(capsys, "predict", "--model", str(tmp_path / "model.json"),
                    "--descriptors", str(desc), "--out", str(tmp_path / "s.csv"))
     assert f"{desc}: line 2: field larger than field limit" in err
+
+
+def test_predict_names_the_model_width_for_a_wrong_width_file(capsys, tmp_path):
+    X = np.random.default_rng(1).standard_normal((7, 6))
+    save_model(train_ovr(X, range(7), SvmTrainConfig(), fit_normalization(X)),
+               tmp_path / "model.json")
+    wide = np.hstack([X, X[:, :1]])
+    write_descriptors([f"v{i}" for i in range(7)], wide, tmp_path / "d.csv")
+    err = run_fail(capsys, "predict", "--model", str(tmp_path / "model.json"),
+                   "--descriptors", str(tmp_path / "d.csv"), "--out", str(tmp_path / "s.csv"))
+    assert "inputs have 8 features (bias included), model expects 7" in err

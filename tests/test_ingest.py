@@ -693,3 +693,24 @@ def test_a_cell_over_the_csv_field_limit_is_a_value_error(tmp_path):
     path.write_text(f'id,x0\nb,2\n"{long_id}",1\n')
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: field larger than field limit")):
         read_descriptors(path)
+
+
+@pytest.mark.parametrize("row", [
+    "a" * 140000 + ",1",  # a long plain id
+    "b," + "0" * 140000,  # a long float cell, which np.loadtxt reads as 0.0
+], ids=["id", "float"])
+def test_a_long_plain_cell_fails_whatever_the_other_lines_hold(tmp_path, row):
+    path = tmp_path / "d.csv"
+    path.write_text(f"id,x0\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: field larger than field limit")):
+        read_descriptors(path)
+
+
+def test_lines_over_the_field_limit_with_short_cells_take_the_fast_path(tmp_path):
+    matrix = np.random.default_rng(5).standard_normal((2, 8000))
+    path = tmp_path / "d.csv"
+    write_descriptors(["a", "b"], matrix, path)
+    assert min(map(len, path.read_text().splitlines()[1:])) > csv.field_size_limit()
+    with mock.patch.object(ingest, "_csv_rows", side_effect=AssertionError("csv reader")):
+        ids, got = read_descriptors(path)
+    assert ids == ("a", "b") and got.tobytes() == matrix.tobytes()

@@ -17,7 +17,6 @@ from emovid.normalize import (
     fit_normalization,
     fit_range_scaler,
     fit_standardizer,
-    normalize_pipeline,
     rootsift,
 )
 
@@ -129,7 +128,8 @@ def test_standardized_train_has_zero_mean_unit_std():
 def test_normalize_pipeline_train_equals_others():
     rng = np.random.default_rng(4)
     matrix = rng.standard_normal((12, 5))
-    train_out, others_out, params = normalize_pipeline(matrix, matrix)
+    params = fit_normalization(matrix)
+    train_out, others_out = apply_normalization(matrix, params), apply_normalization(matrix, params)
     np.testing.assert_array_equal(train_out, others_out)
     assert params.range_scaler is not None and params.standardizer is not None
 
@@ -147,7 +147,8 @@ def test_normalize_pipeline_single_train_video_maps_to_zero():
     rng = np.random.default_rng(2)
     train = rng.standard_normal((1, 8))
     others = rng.standard_normal((4, 8))
-    train_out, others_out, _ = normalize_pipeline(train, others)
+    params = fit_normalization(train)
+    train_out, others_out = apply_normalization(train, params), apply_normalization(others, params)
     np.testing.assert_array_equal(train_out, np.zeros((1, 8)))
     np.testing.assert_array_equal(others_out, np.zeros((4, 8)))
 
@@ -156,8 +157,10 @@ def test_normalize_pipeline_deterministic():
     rng = np.random.default_rng(66)
     train = rng.standard_normal((10, 4))
     others = rng.standard_normal((3, 4))
-    a_train, a_others, _ = normalize_pipeline(train, others)
-    b_train, b_others, _ = normalize_pipeline(train.copy(), others.copy())
+    a_params, b_params = fit_normalization(train), fit_normalization(train.copy())
+    a_train, a_others = apply_normalization(train, a_params), apply_normalization(others, a_params)
+    b_train = apply_normalization(train.copy(), b_params)
+    b_others = apply_normalization(others.copy(), b_params)
     assert (a_train == b_train).all() and (a_others == b_others).all()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -289,15 +290,10 @@ def test_cv_input_validation():
 
 def test_model_round_trip_bit_exact(tmp_path):
     X, labels = cluster_labels_matrix(n_per_class=4, d=6, separation=6.0, sigma=1.0, seed=11)
-    from emovid.normalize import fit_normalization, apply_normalization
+    from emovid.normalize import fit_normalization
 
     params = fit_normalization(X)
-    model = train_ovr(
-        apply_normalization(X, params),
-        labels,
-        SvmTrainConfig(C=0.5, seed=3),
-        params,
-    )
+    model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3), params)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -320,6 +316,22 @@ def test_library_trained_model_saves_loads_and_applies(tmp_path):
     assert loaded.weights.tobytes() == model.weights.tobytes()
     assert loaded.normalization.config == NormalizationConfig(False, False, False)
     assert apply_normalization(X, loaded.normalization).tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("bias", (False, True))
+@pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
+def test_the_model_applies_its_own_normalization(tmp_path, flags, bias):
+    X, labels = cluster_labels_matrix(n_per_class=3, d=5, separation=4.0, sigma=1.0, seed=8)
+    unseen = 1.5 * X[::2] + 0.5  # partly outside the fitted ranges, so the scaler clips
+    params = fit_normalization(X, NormalizationConfig(*flags))
+    cfg = SvmTrainConfig(C=0.5, seed=2, bias=bias)
+    identity = train_ovr(apply_normalization(X, params), labels, cfg)
+    want = decision_scores(identity, apply_normalization(unseen, params)).scores
+    model = train_ovr(X, labels, cfg, params)
+    save_model(model, tmp_path / "model.json")
+    for got in (model, load_model(tmp_path / "model.json")):
+        assert got.weights.tobytes() == identity.weights.tobytes()
+        assert decision_scores(got, unseen).scores.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("norm_config, key", [
