@@ -13,7 +13,8 @@ the set of coordinates it visits (Hsieh et al. 2008). Each update is the
 exact single-variable minimizer clipped to the box, so the dual objective
 never decreases. Multiclass is one-vs-rest; model selection is
 stratified k-fold cross-validation over a grid of C values with the
-normalization chain re-fit inside every fold.
+normalization chain re-fit inside every fold, each fold's whole grid
+solved at once in Gram space (_cv_solve).
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ def _validate_binary_inputs(X, y):
     return X, y
 
 
+def _projected_gradient(alpha, grad, C):
+    """The gradient grad_i = y_i w.x_i - 1 of the minimized dual, projected
+    onto the box [0, C] at alpha; every entry is 0 exactly at a KKT point."""
+    return np.where(alpha <= 0.0, np.minimum(grad, 0.0),
+                    np.where(alpha >= C, np.maximum(grad, 0.0), grad))
+
+
 def train_binary(
     X: np.ndarray,
     y: np.ndarray,
@@ -146,8 +154,10 @@ def train_binary(
     al. 2008): a coordinate at 0 whose gradient exceeds the previous pass's
     largest projected gradient, or at C below its smallest, is set aside.
     Once the active coordinates all meet cfg.tolerance every coordinate is
-    restored, and the solve converges only after a full pass whose largest
-    projected-gradient violation is below cfg.tolerance. Work is capped at
+    restored. After a full pass whose largest projected-gradient violation
+    is below cfg.tolerance, w is recomputed from alpha and the violation
+    with it; the solve converges only if that is below cfg.tolerance too,
+    and otherwise goes on from the recomputed w. Work is capped at
     cfg.max_epochs * n gradient evaluations; SolverInfo.epochs counts them in
     full-pass units, rounded up. With debug=True the dual objective is
     recomputed after every pass and checked to be non-decreasing with every
@@ -221,8 +231,14 @@ def train_binary(
             dual_prev = dual
         if max(pg_max, -pg_min) < cfg.tolerance:
             if full_pass:
-                converged = True
-                break
+                # the pass checked each coordinate while w moved; certify the
+                # point itself, from w recomputed without incremental drift
+                alpha_now = np.array(alpha)
+                w = (alpha_now * y) @ X
+                pg = _projected_gradient(alpha_now, y * (X @ w) - 1.0, C)
+                if np.abs(pg).max() < cfg.tolerance:
+                    converged = True
+                    break
             active = list(range(n))
             shrink_above, shrink_below = math.inf, -math.inf
         else:
@@ -245,7 +261,6 @@ def train_ovr(
     cfg: SvmTrainConfig,
     normalization: NormalizationParams = IDENTITY_NORMALIZATION,
     debug: bool = False,
-    full_output: bool = False,
 ):
     """Train 7 independent class-vs-rest problems with identical config on
     raw descriptors X through the fitted chain, which the model carries.
@@ -253,9 +268,7 @@ def train_ovr(
     Each class gets a fresh generator seeded with cfg.seed + class index,
     so row c of the weights equals train_binary(apply_normalization(X,
     normalization), y_c, cfg with seed cfg.seed + c). Returns the model;
-    solves stopped at cfg.max_epochs are logged as one warning. With
-    full_output=True returns (model, the 7 SolverInfo) and leaves that
-    report to the caller.
+    solves stopped at cfg.max_epochs are logged as one warning.
     """
     X = np.ascontiguousarray(apply_normalization(X, normalization), dtype=np.float64)
     label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
@@ -268,35 +281,32 @@ def train_ovr(
         X = add_bias_column(X)
     solve_cfg = replace(cfg, bias=False)
     weight_rows = []
-    infos = []
+    solves = []
     for c in range(NUM_CLASSES):
         y = np.where(label_idx == c, 1.0, -1.0)
         w, info = train_binary(
             X, y, replace(solve_cfg, seed=cfg.seed + c), debug=debug, full_output=True
         )
         weight_rows.append(w)
-        infos.append(info)
+        solves.append((cfg.C, c, info.converged))
     model = LinearSvmModel(np.stack(weight_rows), cfg, normalization)
-    if full_output:
-        return model, tuple(infos)
-    _warn_capped(cfg, [(cfg.C, infos)])
+    _warn_capped(cfg, solves)
     return model
 
 
-def _warn_capped(cfg: SvmTrainConfig, runs) -> None:
+def _warn_capped(cfg: SvmTrainConfig, solves) -> None:
     """Log one warning naming every solve that stopped at cfg.max_epochs.
 
-    runs holds (C, the 7 per-class SolverInfo of one train_ovr call).
+    solves holds one (C, class index, converged) triple per solve.
     """
-    capped = [(c_value, k) for c_value, infos in runs
-              for k, info in enumerate(infos) if not info.converged]
+    capped = [(c_value, k) for c_value, k, converged in solves if not converged]
     if not capped:
         return
     c_values = ",".join(f"{c:g}" for c in sorted({c for c, _ in capped}))
     classes = ",".join(EMOTION_NAMES[k] for k in sorted({k for _, k in capped}))
     log.warning(
         "%d of %d solves stopped at max_epochs=%d before converging (C=%s; classes %s)",
-        len(capped), NUM_CLASSES * len(runs), cfg.max_epochs, c_values, classes,
+        len(capped), len(solves), cfg.max_epochs, c_values, classes,
     )
 
 
@@ -349,6 +359,55 @@ def stratified_folds(labels, folds: int, seed: int, ids=None) -> np.ndarray:
     return fold_of
 
 
+def _cv_solve(train_x, train_y, grid, cfg: SvmTrainConfig):
+    """Solve one fold's every (C, class) one-vs-rest problem in lockstep.
+
+    Problem p = g * 7 + c is class c against the rest at C = grid[g]. The
+    problems share the Gram matrix K = Xb Xb^T (8 n^2 bytes), and each keeps
+    F = (alpha * Y) K, the decision values w_p . x_i, so a coordinate step
+    costs O(n) per problem whatever the width. Each pass visits every
+    coordinate in one order, shared by the problems and drawn from a
+    generator seeded with cfg.seed, and applies the exact clipped update to
+    each unfinished problem's alpha[i]; a coordinate with K_ii = 0 is never
+    updated. After a pass F is recomputed exactly, and a problem leaves
+    once its largest |projected gradient| there is below cfg.tolerance, or
+    after cfg.max_epochs passes. Returns (weights, alpha, converged), one
+    row per problem: the weights (alpha * Y)^T Xb, the duals over the
+    fold's rows, and whether the problem converged.
+    """
+    X, _ = _validate_binary_inputs(train_x, np.ones(len(train_y)))
+    if cfg.bias:
+        X = add_bias_column(X)
+    K = X @ X.T
+    diag = K.diagonal().tolist()
+    # (n, P) layouts, so that coordinate i of every problem is one row
+    Y = np.tile(np.where(np.asarray(train_y)[:, None] == np.arange(NUM_CLASSES), 1.0, -1.0),
+                len(grid))
+    C = np.repeat(np.asarray(grid, dtype=np.float64), NUM_CLASSES)
+    alpha = np.zeros(Y.shape)
+    converged = np.zeros(C.size, dtype=bool)
+    active = np.arange(C.size)
+    a, y, c, f = alpha, Y, C, np.zeros(Y.shape)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.max_epochs):
+        for i in rng.permutation(len(diag)).tolist():
+            if diag[i] <= 0.0:
+                continue
+            yi, ai = y[i], a[i]
+            new_a = np.minimum(np.maximum(ai - (yi * f[i] - 1.0) / diag[i], 0.0), c)
+            f += K[i, :, None] * ((new_a - ai) * yi)
+            ai[:] = new_a
+        f = K @ (a * y)
+        alpha[:, active] = a
+        done = np.abs(_projected_gradient(a, y * f - 1.0, c)).max(axis=0) < cfg.tolerance
+        converged[active[done]] = True
+        if done.all():
+            break
+        keep = ~done
+        active, a, y, c, f = active[keep], a[:, keep], y[:, keep], c[keep], f[:, keep]
+    return (alpha * Y).T @ X, alpha.T, converged
+
+
 def cross_validate_c(
     X: np.ndarray,
     labels,
@@ -362,7 +421,8 @@ def cross_validate_c(
     """Pick the regularization constant by stratified k-fold CV.
 
     For each fold the normalization chain is re-fit on that fold's
-    training portion only. Returns (best C, list of per-C mean accuracies
+    training portion only, and _cv_solve trains the fold's models for the
+    whole grid at once. Returns (best C, list of per-C mean accuracies
     aligned with the grid); ties go to the smallest C. Solves stopped at
     cfg.max_epochs are logged as one warning for the whole grid.
     """
@@ -375,32 +435,22 @@ def cross_validate_c(
     label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
     fold_of = stratified_folds(label_idx, folds, seed, ids=ids)
 
-    # normalization depends only on the fold split, not on C
-    prepared = []
+    fold_accs = []
+    solves = []
     for k in range(folds):
         train_mask = fold_of != k
         params = fit_normalization(X[train_mask], norm_config)
-        prepared.append(
-            (
-                apply_normalization(X[train_mask], params),
-                label_idx[train_mask],
-                apply_normalization(X[~train_mask], params),
-                label_idx[~train_mask],
-            )
-        )
-
-    mean_accuracies = []
-    runs = []
-    for c_value in grid:
-        fold_accs = []
-        for train_x, train_y, val_x, val_y in prepared:
-            model, infos = train_ovr(train_x, train_y, replace(cfg, C=c_value), full_output=True)
-            runs.append((c_value, infos))
-            scores = decision_scores(model, val_x).scores
-            predicted = scores.argmax(axis=1)
-            fold_accs.append(float((predicted == val_y).mean()))
-        mean_accuracies.append(float(np.mean(fold_accs)))
-    _warn_capped(cfg, runs)
+        weights, _, converged = _cv_solve(apply_normalization(X[train_mask], params),
+                                          label_idx[train_mask], grid, cfg)
+        val_x = apply_normalization(X[~train_mask], params)
+        if cfg.bias:
+            val_x = add_bias_column(val_x)
+        scores = (val_x @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
+        fold_accs.append((scores.argmax(axis=2) == label_idx[~train_mask, None]).mean(axis=0))
+        solves += [(grid[p // NUM_CLASSES], p % NUM_CLASSES, ok) for p, ok in enumerate(converged)]
+    # one contiguous row per C, averaged as np.mean averages a list of floats
+    mean_accuracies = np.column_stack(fold_accs).mean(axis=1).tolist()
+    _warn_capped(cfg, solves)
 
     best = max(range(len(grid)), key=lambda i: (mean_accuracies[i], -grid[i]))
     return grid[best], mean_accuracies

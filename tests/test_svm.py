@@ -23,6 +23,8 @@ from emovid.svm import (
     stratified_folds,
     train_binary,
     train_ovr,
+    _cv_solve,
+    _projected_gradient,
 )
 from emovid.synth import oracle_svm_subgradient
 
@@ -125,7 +127,7 @@ def test_converged_solves_meet_kkt_certificate(data, C):
         w, info = train_binary(X, y, cfg, full_output=True)
         if info.converged:
             converged += 1
-            assert _max_kkt_violation(augmented, y, w, info.alpha, C) <= 2 * cfg.tolerance
+            assert _max_kkt_violation(augmented, y, w, info.alpha, C) < cfg.tolerance
     assert converged >= 1
 
 
@@ -286,6 +288,85 @@ def test_cv_input_validation():
         cross_validate_c(np.zeros((3, 2)), [0, 1, 2], [1.0], folds=5)
     with pytest.raises(ValueError, match="positive"):
         cross_validate_c(X, labels, [-1.0])
+
+
+def _per_problem_cv_accuracies(X, labels, grid, cfg, folds, seed):
+    """cross_validate_c as one train_ovr and one decision_scores per C and
+    fold, each class solved on its own by train_binary."""
+    label_idx = np.asarray(labels)
+    fold_of = stratified_folds(label_idx, folds, seed)
+    accuracies = []
+    for c_value in grid:
+        fold_accs = []
+        for k in range(folds):
+            train = fold_of != k
+            params = fit_normalization(X[train])
+            model = train_ovr(apply_normalization(X[train], params), label_idx[train],
+                              replace(cfg, C=c_value))
+            scores = decision_scores(model, apply_normalization(X[~train], params)).scores
+            fold_accs.append(float((scores.argmax(axis=1) == label_idx[~train]).mean()))
+        accuracies.append(float(np.mean(fold_accs)))
+    return accuracies
+
+
+CV_GRID = [2.0 ** k for k in (-8, -5, -2)]
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("n_per_class, d, separation", [(5, 40, 6.0), (12, 6, 3.0)])  # n < D, n > D
+def test_cv_kernel_matches_per_problem_solves(n_per_class, d, separation, bias):
+    X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
+    cfg = SvmTrainConfig(seed=4, bias=bias)
+    _, accuracies = cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=4, seed=9)
+    assert accuracies == _per_problem_cv_accuracies(X, labels, CV_GRID, cfg, folds=4, seed=9)
+    assert min(accuracies) < 1.0  # the grid is not flat here
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("n_per_class, d, separation", [(5, 40, 6.0), (12, 6, 3.0), (12, 6, 2.0)])
+def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, separation, bias):
+    X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
+    cfg = SvmTrainConfig(seed=4, bias=bias)
+    weights, alpha, converged = _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
+    augmented = add_bias_column(X) if bias else X
+    # problem p = g * 7 + c is class c against the rest at C = CV_GRID[g]
+    problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
+    assert alpha.shape == (len(problems), X.shape[0]) and converged.all()
+    for p, (C, y) in enumerate(problems):
+        assert (alpha[p] >= 0).all() and (alpha[p] <= C).all()
+        w = (alpha[p] * y) @ augmented
+        np.testing.assert_allclose(weights[p], w, rtol=0, atol=1e-12)
+        violation = np.abs(_projected_gradient(alpha[p], y * (augmented @ w) - 1.0, C)).max()
+        assert violation < cfg.tolerance
+        # each coordinate adds at most 2 C |projected gradient| to the gap
+        gap = primal_objective(w, augmented, y, C) - dual_objective(alpha[p], augmented, y)
+        assert gap <= 2 * len(y) * C * cfg.tolerance
+
+
+def test_cv_kernel_never_updates_a_zero_row_without_bias():
+    X, labels = cluster_labels_matrix(n_per_class=3, d=5, separation=6.0, sigma=1.0, seed=2)
+    X[4] = 0.0
+    cfg = SvmTrainConfig(seed=1, bias=False, max_epochs=5)
+    _, alpha, converged = _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
+    assert (alpha[:, 4] == 0.0).all()
+    # as in train_binary: its gradient stays -1, so no problem converges
+    assert not converged.any()
+    _, info = train_binary(X, np.where(np.asarray(labels) == 0, 1.0, -1.0), cfg, full_output=True)
+    assert info.alpha[4] == 0.0 and not info.converged
+
+
+def test_cv_kernel_is_deterministic_and_checks_its_input():
+    X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=2)
+    cfg = SvmTrainConfig(seed=11)
+    first = _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
+    second = _cv_solve(X.copy(), np.asarray(labels), CV_GRID, cfg)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+    assert (cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1)
+            == cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1))
+    X[3, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite value in X"):
+        _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
 
 
 def test_model_round_trip_bit_exact(tmp_path):

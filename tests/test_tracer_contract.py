@@ -61,7 +61,10 @@ def test_a_traced_chain_counts_solves_fits_and_clipped_cells(tmp_path, capsys):
         commands.append((argv[0], wall, recorder.spans))
 
     metrics = tracer.layer_metrics(commands)
-    assert metrics["svm.solves"][0] == 2 * 2 * 7 + 7  # cv: 2 C x 2 folds x 7 classes; train
+    # train's 7 solves only: cv solves each fold's whole grid in svm._cv_solve,
+    # not through svm.train_binary, and that kernel's time is cv's own svm time
+    assert metrics["svm.solves"][0] == 7
+    assert metrics["svm.cv_self_s"][0] > 0
     assert metrics["normalize.fits"][0] == 2 + 1  # one per cv fold, one in train
     assert metrics["svm.coord_steps"][0] > 0
     applies = [span for _, _, spans in commands for span in spans
