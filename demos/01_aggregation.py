@@ -24,7 +24,8 @@ video = FrameFeatureSequence("demo_video", frames)
 print(f"input video: T={video.num_frames} frames, V={video.num_variants} "
       f"variants, d={video.dim} dims")
 
-# variant averaging collapses the V axis before any aggregator runs
+# variant averaging collapses the V axis before any aggregator runs;
+# build_video_descriptor always applies it first
 collapsed = average_variants(video)
 print(f"after variant averaging: V={collapsed.num_variants}")
 
@@ -32,7 +33,10 @@ print(f"after variant averaging: V={collapsed.num_variants}")
 stat_star = AggregationConfig(("mean", "std", "min"))
 descriptor = build_video_descriptor(video, stat_star)
 print(f"\nSTAT* descriptor: D={descriptor.dim} = 3 blocks x {video.dim} dims")
-print("provenance:", descriptor.provenance)
+# the layout: the configured blocks in order, d columns each
+layout = ", ".join(f"{name} {k * video.dim}-{(k + 1) * video.dim - 1}"
+                   for k, name in enumerate(stat_star.aggregators))
+print(f"columns: {layout}")
 
 # adding the spectral block: per dimension, mean magnitude of the length-T DFT
 with_fft = build_video_descriptor(video, AggregationConfig(("mean", "std", "min", "fft")))

@@ -57,10 +57,7 @@ def train_stream(seed, work_dir):
     y_train = [s.label for s in split["train"]]
 
     grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
-    best_c, _ = cross_validate_c(
-        x_train, y_train, grid, folds=5, seed=seed,
-        ids=[s.video_id for s in split["train"]],
-    )
+    best_c, _ = cross_validate_c(x_train, y_train, grid, folds=5, seed=seed)
     print(f"stream seed={seed}: D={x_train.shape[1]}, best C={best_c:g}")
 
     params = fit_normalization(x_train)

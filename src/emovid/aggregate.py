@@ -24,11 +24,9 @@ STAT_STAR_AGGREGATORS = ("mean", "std", "min")
 
 @dataclass(frozen=True)
 class AggregationConfig:
-    """Which blocks to compute (in concatenation order) and whether the
-    variant axis is averaged away first."""
+    """Which blocks to compute, in concatenation order."""
 
     aggregators: tuple[str, ...] = STAT_STAR_AGGREGATORS
-    average_variants: bool = True
 
     def __post_init__(self):
         aggs = tuple(self.aggregators)
@@ -114,17 +112,13 @@ def build_video_descriptor(
 ) -> VideoDescriptor:
     """Concatenate the configured aggregator blocks into one descriptor.
 
-    Variant averaging (when enabled) happens before every aggregator.
-    The output length is len(cfg.aggregators) * d.
+    The variants are averaged before every aggregator. Block k, the one of
+    cfg.aggregators[k], fills columns k*d to (k+1)*d - 1, so the output
+    length is len(cfg.aggregators) * d.
     """
-    work = average_variants(seq) if cfg.average_variants else seq
-    blocks = []
-    provenance = []
-    for name in cfg.aggregators:
-        block = _AGGREGATORS[name](work)
-        blocks.append(block)
-        provenance.append((name, block.size))
-    return VideoDescriptor(seq.video_id, np.concatenate(blocks), tuple(provenance))
+    work = average_variants(seq)
+    blocks = [_AGGREGATORS[name](work) for name in cfg.aggregators]
+    return VideoDescriptor(seq.video_id, np.concatenate(blocks))
 
 
 def shuffle_frames(seq: FrameFeatureSequence, seed: int) -> FrameFeatureSequence:

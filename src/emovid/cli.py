@@ -98,11 +98,14 @@ def _parse_splits(value: str):
 
 def _rows_in_splits(manifest, ids, splits, what: str, require_labels: bool = True):
     """Join the manifest's videos in splits to a file's id column: their row
-    indices into ids, in manifest order, and their labels (None for an
-    unlabeled video, which require_labels refuses). Videos without a row
-    are one error counting them; what names the kind of row."""
+    indices into ids, sorted by video id, and their labels (None for an
+    unlabeled video, which require_labels refuses). The order makes every
+    command's result a function of the set of videos, not of the manifest's
+    line order. Videos without a row are one error counting them; what
+    names the kind of row."""
     row_of = {vid: i for i, vid in enumerate(ids)}
-    entries = [entry for entry in manifest.entries if entry.split in splits]
+    entries = sorted((entry for entry in manifest.entries if entry.split in splits),
+                     key=lambda entry: entry.video_id)
     if not entries:
         raise ValueError(f"no videos in splits {','.join(splits)}")
     missing = sum(entry.video_id not in row_of for entry in entries)
@@ -120,8 +123,8 @@ def _rows_in_splits(manifest, ids, splits, what: str, require_labels: bool = Tru
 
 def _descriptors_in_splits(args, require_labels: bool = True):
     """The --descriptors rows of the --manifest videos in --splits, for cv,
-    train and predict: (ids, X, labels, splits). Only the floats of those
-    videos' rows are parsed."""
+    train and predict: (ids, X, labels, splits), rows in id order. Only the
+    floats of those videos' rows are parsed."""
     manifest = load_manifest(args.manifest)
     splits = _parse_splits(args.splits)
     keep = {entry.video_id for entry in manifest.entries if entry.split in splits}
@@ -162,6 +165,9 @@ def cmd_aggregate(args) -> int:
                 if sniff_stream_kind(path) == "frames":
                     seq = load_frame_features(path, video_id=entry.video_id)
                     descriptor = build_video_descriptor(seq, agg_cfg).features
+                elif agg_cfg != AggregationConfig():
+                    raise ValueError(f"stream {stream_name!r}: aggregation settings apply to "
+                                     f"frame files only, and {str(path)!r} holds one vector")
                 else:
                     descriptor = load_audio_features(path)
             except ValueError as exc:
@@ -182,20 +188,12 @@ def cmd_aggregate(args) -> int:
 def cmd_cv(args) -> int:
     config = load_pipeline_config(args.config)
     folds = args.folds if args.folds is not None else config.cv.folds
-    ids, X, labels, _ = _descriptors_in_splits(args)
+    _, X, labels, _ = _descriptors_in_splits(args)
     fold_seed = (
         derive_seed(args.seed, "cv") if args.seed is not None else config.svm.seed
     )
-    best_c, accuracies = cross_validate_c(
-        X,
-        labels,
-        config.cv.grid,
-        cfg=config.svm,
-        folds=folds,
-        seed=fold_seed,
-        norm_config=config.normalization,
-        ids=ids,
-    )
+    best_c, accuracies = cross_validate_c(X, labels, config.cv.grid, cfg=config.svm, folds=folds,
+                                          seed=fold_seed, norm_config=config.normalization)
     for c_value, acc in zip(config.cv.grid, accuracies):
         print(f"C={c_value:g}  mean_accuracy={acc:.4f}")
     print(f"best C: {best_c:g}")

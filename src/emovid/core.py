@@ -33,10 +33,6 @@ class EmotionLabel(IntEnum):
     def display_name(self) -> str:
         return EMOTION_NAMES[self]
 
-    @property
-    def short_name(self) -> str:
-        return EMOTION_SHORT_NAMES[self]
-
 
 _NAME_TO_LABEL = {name.lower(): EmotionLabel(i) for i, name in enumerate(EMOTION_NAMES)}
 
@@ -121,15 +117,11 @@ class VideoSample:
 
 @dataclass(frozen=True, eq=False)
 class VideoDescriptor:
-    """Fixed-length aggregated feature vector for one video.
-
-    provenance records the (aggregator-name, block-length) pairs whose
-    concatenation produced the vector.
-    """
+    """Fixed-length aggregated feature vector for one video; all entries
+    finite (an aggregator can overflow on finite frames)."""
 
     video_id: str
     features: np.ndarray
-    provenance: tuple = ()
 
     def __post_init__(self):
         arr = _frozen_array(self.features)
@@ -137,14 +129,7 @@ class VideoDescriptor:
             raise ValueError(f"descriptor must be 1-D, got ndim={arr.ndim}")
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite value in descriptor of {self.video_id!r}")
-        prov = tuple((str(name), int(length)) for name, length in self.provenance)
-        if prov and sum(length for _, length in prov) != arr.size:
-            raise ValueError(
-                f"provenance blocks sum to {sum(l for _, l in prov)}, "
-                f"but descriptor has {arr.size} entries"
-            )
         object.__setattr__(self, "features", arr)
-        object.__setattr__(self, "provenance", prov)
 
     @property
     def dim(self) -> int:

@@ -355,7 +355,7 @@ def _read_id_matrix(path, features, what: str, keep=None):
     return tuple(ids), np.stack(rows) if rows else np.empty((0, 0))
 
 
-def load_frame_features(path, expected_dim: int | None = None, video_id: str | None = None) -> FrameFeatureSequence:
+def load_frame_features(path, video_id: str | None = None) -> FrameFeatureSequence:
     """Read a (frame, variant) feature grid into a (T, V, d) sequence.
 
     Rows may appear in any order; frames and variants are sorted by index.
@@ -376,9 +376,6 @@ def load_frame_features(path, expected_dim: int | None = None, video_id: str | N
         cells[index] = values
     if not cells:
         raise ValueError(f"{path}: no feature rows")
-    dim = values.size
-    if expected_dim is not None and dim != expected_dim:
-        raise ValueError(f"{path}: dimension {dim}, expected {expected_dim}")
     frame_ids = sorted({f for f, _ in cells})
     variant_ids = sorted({v for _, v in cells})
     if len(cells) != len(frame_ids) * len(variant_ids):

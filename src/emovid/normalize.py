@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VideoDescriptor, _frozen_array
+from .core import _frozen_array
 
 # columns whose fitted std falls below this are treated as constant
 DEGENERATE_STD = 1e-12
@@ -102,37 +102,19 @@ class NormalizationParams:
 IDENTITY_NORMALIZATION = NormalizationParams(NormalizationConfig(False, False, False))
 
 
-def _as_matrix(descriptors) -> np.ndarray:
-    """Stack descriptors (or accept an array) into an (N, D) float matrix."""
-    if isinstance(descriptors, np.ndarray):
-        arr = np.asarray(descriptors, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected an (N, D) matrix, got ndim={arr.ndim}")
-        return arr
-    rows = [
-        d.features if isinstance(d, VideoDescriptor) else np.asarray(d, dtype=np.float64)
-        for d in descriptors
-    ]
-    if not rows:
-        raise ValueError("empty descriptor set")
-    dims = {row.size for row in rows}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent descriptor dimensions: {sorted(dims)}")
-    return np.stack([np.asarray(r, dtype=np.float64).ravel() for r in rows])
-
-
-def _as_vector_or_matrix(x) -> np.ndarray:
-    if isinstance(x, VideoDescriptor):
-        return x.features
+def _as_array(x, ndims) -> np.ndarray:
+    """x as a float64 array: a descriptor vector or an (N, D) matrix of
+    descriptors, whichever ndims allows."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or matrix, got ndim={arr.ndim}")
+    if arr.ndim not in ndims:
+        allowed = " or ".join(map(str, ndims))
+        raise ValueError(f"expected an array of ndim {allowed}, got ndim={arr.ndim}")
     return arr
 
 
 def fit_range_scaler(train) -> RangeScalerParams:
     """Column-wise min/max over the training descriptors."""
-    matrix = _as_matrix(train)
+    matrix = _as_array(train, (2,))
     if matrix.shape[0] < 1:
         raise ValueError("cannot fit a range scaler on an empty training set")
     return RangeScalerParams(matrix.min(axis=0), matrix.max(axis=0))
@@ -141,7 +123,7 @@ def fit_range_scaler(train) -> RangeScalerParams:
 def apply_range_scaler(x, params: RangeScalerParams) -> np.ndarray:
     """Map each column affinely onto [-1, 1] and clip; degenerate columns
     (min == max at fit time) map to 0."""
-    arr = _as_vector_or_matrix(x)
+    arr = _as_array(x, (1, 2))
     if arr.shape[-1] != params.dim:
         raise ValueError(f"dimension mismatch: x has {arr.shape[-1]}, params have {params.dim}")
     span = params.maxs - params.mins
@@ -158,7 +140,7 @@ def rootsift(x) -> np.ndarray:
     vector has unit L2 norm; the zero vector maps to itself. Matrices are
     transformed row-wise.
     """
-    arr = _as_vector_or_matrix(x)
+    arr = _as_array(x, (1, 2))
     vector_in = arr.ndim == 1
     rows = arr[None, :] if vector_in else arr
     l1 = np.abs(rows).sum(axis=1, keepdims=True)
@@ -169,7 +151,7 @@ def rootsift(x) -> np.ndarray:
 
 def fit_standardizer(train) -> StandardizerParams:
     """Per-column mean and population std over the training vectors."""
-    matrix = _as_matrix(train)
+    matrix = _as_array(train, (2,))
     if matrix.shape[0] < 1:
         raise ValueError("cannot fit a standardizer on an empty training set")
     return StandardizerParams(matrix.mean(axis=0), matrix.std(axis=0))
@@ -177,7 +159,7 @@ def fit_standardizer(train) -> StandardizerParams:
 
 def apply_standardizer(x, params: StandardizerParams) -> np.ndarray:
     """Center and scale each column; degenerate columns map to 0."""
-    arr = _as_vector_or_matrix(x)
+    arr = _as_array(x, (1, 2))
     if arr.shape[-1] != params.dim:
         raise ValueError(f"dimension mismatch: x has {arr.shape[-1]}, params have {params.dim}")
     degenerate = params.stds < DEGENERATE_STD
@@ -193,7 +175,7 @@ def fit_normalization(train, config: NormalizationConfig = NormalizationConfig()
     rootsift, i.e. on what it will actually see at apply time. Columns
     whose fitted std is below DEGENERATE_STD are logged as one warning.
     """
-    matrix = _as_matrix(train)
+    matrix = _as_array(train, (2,))
     range_scaler = None
     if config.range_scale:
         range_scaler = fit_range_scaler(matrix)
@@ -212,7 +194,7 @@ def fit_normalization(train, config: NormalizationConfig = NormalizationConfig()
 
 def apply_normalization(x, params: NormalizationParams) -> np.ndarray:
     """Apply the fitted chain to a vector or matrix of descriptors."""
-    arr = _as_vector_or_matrix(x)
+    arr = _as_array(x, (1, 2))
     if params.config.range_scale:
         arr = apply_range_scaler(arr, params.range_scaler)
     if params.config.rootsift:

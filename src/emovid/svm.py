@@ -159,7 +159,8 @@ def train_binary(
     with it; the solve converges only if that is below cfg.tolerance too,
     and otherwise goes on from the recomputed w. Work is capped at
     cfg.max_epochs * n gradient evaluations; SolverInfo.epochs counts them in
-    full-pass units, rounded up. With debug=True the dual objective is
+    full-pass units, rounded up. A row of zeros, possible without a bias,
+    starts at its optimum alpha_i = C. With debug=True the dual objective is
     recomputed after every pass and checked to be non-decreasing with every
     alpha inside [0, C]. With full_output=True returns (w, SolverInfo).
 
@@ -175,11 +176,13 @@ def train_binary(
     rows = list(X)
     ys = y.tolist()
     sq_norms = np.einsum("ij,ij->i", X, X).tolist()
-    alpha = [0.0] * n
+    # a zero row's dual term is linear, a_i: its optimum is a_i = C, which
+    # leaves w unchanged, so it starts there and is never updated
+    alpha = [C if sq == 0.0 else 0.0 for sq in sq_norms]
     w = np.zeros(X.shape[1])
     rng = np.random.default_rng(cfg.seed)
 
-    dual_prev = 0.0  # dual value at alpha = 0
+    dual_prev = float(sum(alpha))  # dual value at the starting alpha, where w = 0
     dual_trace = []
     converged = False
     budget = cfg.max_epochs * n
@@ -260,7 +263,6 @@ def train_ovr(
     labels,
     cfg: SvmTrainConfig,
     normalization: NormalizationParams = IDENTITY_NORMALIZATION,
-    debug: bool = False,
 ):
     """Train 7 independent class-vs-rest problems with identical config on
     raw descriptors X through the fitted chain, which the model carries.
@@ -284,9 +286,7 @@ def train_ovr(
     solves = []
     for c in range(NUM_CLASSES):
         y = np.where(label_idx == c, 1.0, -1.0)
-        w, info = train_binary(
-            X, y, replace(solve_cfg, seed=cfg.seed + c), debug=debug, full_output=True
-        )
+        w, info = train_binary(X, y, replace(solve_cfg, seed=cfg.seed + c), full_output=True)
         weight_rows.append(w)
         solves.append((cfg.C, c, info.converged))
     model = LinearSvmModel(np.stack(weight_rows), cfg, normalization)
@@ -330,12 +330,12 @@ def decision_scores(model: LinearSvmModel, X: np.ndarray, video_ids=None) -> Sco
     return ScoreMatrix(tuple(video_ids), X @ model.weights.T)
 
 
-def stratified_folds(labels, folds: int, seed: int, ids=None) -> np.ndarray:
+def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     """Assign each sample to a fold, stratified by label.
 
-    Within each class, samples are ordered by id when ids are given (data
-    order otherwise), shuffled with the seeded generator, then dealt
-    round-robin; a global deal counter keeps fold sizes balanced.
+    Within each class, samples are taken in data order, shuffled with the
+    seeded generator, then dealt round-robin; a global deal counter keeps
+    fold sizes balanced.
     """
     label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
     n = label_idx.size
@@ -350,8 +350,6 @@ def stratified_folds(labels, folds: int, seed: int, ids=None) -> np.ndarray:
         members = np.flatnonzero(label_idx == c)
         if members.size == 0:
             continue
-        if ids is not None:
-            members = members[np.argsort([str(ids[i]) for i in members], kind="stable")]
         members = members[rng.permutation(members.size)]
         for i in members:
             fold_of[i] = counter % folds
@@ -368,8 +366,9 @@ def _cv_solve(train_x, train_y, grid, cfg: SvmTrainConfig):
     costs O(n) per problem whatever the width. Each pass visits every
     coordinate in one order, shared by the problems and drawn from a
     generator seeded with cfg.seed, and applies the exact clipped update to
-    each unfinished problem's alpha[i]; a coordinate with K_ii = 0 is never
-    updated. After a pass F is recomputed exactly, and a problem leaves
+    each unfinished problem's alpha[i]; a coordinate with K_ii = 0, a row of
+    zeros without a bias, starts at its optimum C and is never updated.
+    After a pass F is recomputed exactly, and a problem leaves
     once its largest |projected gradient| there is below cfg.tolerance, or
     after cfg.max_epochs passes. Returns (weights, alpha, converged), one
     row per problem: the weights (alpha * Y)^T Xb, the duals over the
@@ -385,6 +384,7 @@ def _cv_solve(train_x, train_y, grid, cfg: SvmTrainConfig):
                 len(grid))
     C = np.repeat(np.asarray(grid, dtype=np.float64), NUM_CLASSES)
     alpha = np.zeros(Y.shape)
+    alpha[K.diagonal() <= 0.0] = C  # F stays 0: those rows of K are zero
     converged = np.zeros(C.size, dtype=bool)
     active = np.arange(C.size)
     a, y, c, f = alpha, Y, C, np.zeros(Y.shape)
@@ -416,7 +416,6 @@ def cross_validate_c(
     folds: int = 5,
     seed: int = 0,
     norm_config: NormalizationConfig = NormalizationConfig(),
-    ids=None,
 ):
     """Pick the regularization constant by stratified k-fold CV.
 
@@ -433,7 +432,7 @@ def cross_validate_c(
         raise ValueError("C values must be positive")
     X = np.asarray(X, dtype=np.float64)
     label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
-    fold_of = stratified_folds(label_idx, folds, seed, ids=ids)
+    fold_of = stratified_folds(label_idx, folds, seed)
 
     fold_accs = []
     solves = []

@@ -160,13 +160,13 @@ def oracle_dft(signal) -> np.ndarray:
     return out
 
 
-def oracle_svm_subgradient(X, y, C: float, iterations: int, seed: int = 0) -> np.ndarray:
+def oracle_svm_subgradient(X, y, C: float, iterations: int) -> np.ndarray:
     """Projected subgradient descent on the SVM primal; verification route.
 
     Full-batch steps of size 1/(lambda*t) with lambda = 1/(C*N), each
     iterate projected onto the ball ||w|| <= sqrt(C*N) that contains the
     optimum; returns the average of the final half of the iterates.
-    Deterministic; the seed parameter is reserved.
+    Deterministic.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

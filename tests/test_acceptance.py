@@ -176,8 +176,7 @@ def _run_pipeline(tmp_dir, seed):
     y_val = np.array([int(s.label) for s in val])
     grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
     best_c, _ = cross_validate_c(
-        x_train, y_train, grid, cfg=SvmTrainConfig(seed=7), folds=5, seed=13,
-        ids=[s.video_id for s in train],
+        x_train, y_train, grid, cfg=SvmTrainConfig(seed=7), folds=5, seed=13
     )
     params = fit_normalization(x_train)
     model = train_ovr(

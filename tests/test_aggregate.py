@@ -156,12 +156,21 @@ def test_descriptor_dimension_arithmetic():
         seq_from(rng.standard_normal((3, 1024))), AggregationConfig(("mean", "std", "min"))
     )
     assert d.dim == 3072
-    d = build_video_descriptor(
-        seq_from(rng.standard_normal((3, 1024))),
-        AggregationConfig(("mean", "std", "min", "fft")),
-    )
+    seq = seq_from(rng.standard_normal((3, 1024)))
+    d = build_video_descriptor(seq, AggregationConfig(("mean", "std", "min", "fft")))
     assert d.dim == 4096
-    assert d.provenance == (("mean", 1024), ("std", 1024), ("min", 1024), ("fft", 1024))
+    # the layout: the configured blocks in order, d columns each
+    blocks = (aggregate_mean, aggregate_std, aggregate_min, aggregate_fft_mean)
+    for k, block in enumerate(blocks):
+        np.testing.assert_array_equal(d.features[k * 1024:(k + 1) * 1024], block(seq))
+
+
+def test_descriptor_rejects_a_block_that_overflows_on_finite_frames():
+    seq = seq_from(np.array([[1e308], [-1e308]]))
+    with np.errstate(over="ignore"):
+        assert np.isinf(aggregate_std(seq)).all()
+        with pytest.raises(ValueError, match="non-finite value in descriptor"):
+            build_video_descriptor(seq, AggregationConfig(("mean", "std")))
 
 
 def test_descriptor_averages_variants_first():

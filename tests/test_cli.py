@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +420,41 @@ def test_rerun_commands_byte_identical(synth_dir, capsys, tmp_path):
             )
         )
     assert outputs[0] == outputs[1]
+
+
+def test_cv_train_and_predict_depend_on_the_set_of_videos_not_their_order(
+        synth_dir, capsys, tmp_path):
+    """The join sorts rows by video id, so a shuffled manifest, aggregated
+    into a shuffled descriptor file, gives the same report, model and scores."""
+    ds = synth_dir / "ds"
+    entries = list(load_manifest(ds / "manifest.jsonl").entries)
+    order = np.random.default_rng(8).permutation(len(entries))
+    write_manifest([entries[i] for i in order], tmp_path / "shuffled.jsonl")
+    outputs = []
+    for manifest in (ds / "manifest.jsonl", tmp_path / "shuffled.jsonl"):
+        work = tmp_path / manifest.stem
+        common = ["--descriptors", str(work / "d" / "frames.csv"), "--manifest", str(manifest)]
+        run_ok(capsys, "aggregate", "--manifest", str(manifest), "--features-dir", str(ds),
+               "--out", str(work / "d"))
+        run_ok(capsys, "cv", *common, "--splits", "train,val", "--seed", "3",
+               "--out", str(work / "cv.json"))
+        run_ok(capsys, "train", *common, "--splits", "train,val", "--seed", "3",
+               "--out", str(work / "model.json"))
+        run_ok(capsys, "predict", "--model", str(work / "model.json"), *common,
+               "--splits", "test", "--out", str(work / "s.csv"))
+        outputs.append([(work / name).read_bytes() for name in ("cv.json", "model.json", "s.csv")])
+    assert outputs[0] == outputs[1]
+    ids = read_scores(tmp_path / "shuffled" / "s.csv").video_ids
+    assert list(ids) == sorted(ids)
+
+
+def test_aggregate_refuses_aggregation_settings_for_a_vector_stream(capsys, tmp_path):
+    config = write_audio_dataset(tmp_path, tmp_path / "m.jsonl")
+    Path(config).write_text(json.dumps({"streams": {"audio": {"aggregators": ["fft"]}}}))
+    err = run_fail(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"),
+                   "--config", config, "--out", str(tmp_path / "d"))
+    assert "stream 'audio': aggregation settings apply to frame files only" in err
+    assert not (tmp_path / "d" / "audio.csv").exists()
 
 
 def model_doc(top=(), config=()):

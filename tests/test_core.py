@@ -69,10 +69,10 @@ def test_video_sample_label_rules():
 
 
 def test_video_descriptor_validation():
-    d = VideoDescriptor("v", np.arange(6.0), (("mean", 3), ("std", 3)))
+    d = VideoDescriptor("v", np.arange(6.0))
     assert d.dim == 6
-    with pytest.raises(ValueError, match="provenance"):
-        VideoDescriptor("v", np.arange(6.0), (("mean", 4),))
+    with pytest.raises(ValueError, match="1-D"):
+        VideoDescriptor("v", np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         VideoDescriptor("v", np.array([1.0, np.inf]))
 

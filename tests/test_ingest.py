@@ -159,7 +159,7 @@ def test_load_frame_features_variant_grid(tmp_path):
         for v in range(18):
             lines.append(f"{t},{v},{t + v},{t - v}")
     path.write_text("\n".join(lines) + "\n")
-    seq = load_frame_features(path, expected_dim=2)
+    seq = load_frame_features(path)
     assert (seq.num_frames, seq.num_variants, seq.dim) == (5, 18, 2)
     assert seq.frames[2, 3, 0] == 5.0
 
@@ -185,9 +185,6 @@ def test_load_frame_features_rejects_bad_files(tmp_path):
     path.write_text("frame,variant,f0\n0,0,1\n0,0,2\n")
     with pytest.raises(ValueError, match="duplicate"):
         load_frame_features(path)
-    path.write_text("frame,variant,f0\n0,0,1\n")
-    with pytest.raises(ValueError, match="expected 2"):
-        load_frame_features(path, expected_dim=2)
     path.write_text("a,b,f0\n0,0,1\n")
     with pytest.raises(ValueError, match="header"):
         load_frame_features(path)
@@ -311,7 +308,6 @@ video_ids = st.lists(
 aggregation_configs = st.builds(
     AggregationConfig,
     st.lists(st.sampled_from(AGGREGATOR_NAMES), min_size=1, unique=True).map(tuple),
-    st.booleans(),
 )
 normalization_configs = st.builds(NormalizationConfig, st.booleans(), st.booleans(), st.booleans())
 svm_configs = st.builds(

@@ -27,9 +27,9 @@ def test_fit_range_scaler_examples():
     params = fit_range_scaler(np.array([[-2.0], [0.0], [2.0]]))
     assert (params.mins[0], params.maxs[0]) == (-2.0, 2.0)
     with pytest.raises(ValueError, match="empty"):
-        fit_range_scaler([])
-    with pytest.raises(ValueError, match="inconsistent"):
-        fit_range_scaler([np.zeros(3), np.zeros(4)])
+        fit_range_scaler(np.empty((0, 3)))
+    with pytest.raises(ValueError, match="ndim 2, got ndim=1"):
+        fit_range_scaler(np.zeros(3))
 
 
 def test_fit_range_scaler_matches_linear_scan_oracle():
@@ -93,7 +93,9 @@ def test_fit_standardizer_examples():
     np.testing.assert_array_equal(params.means, [3.25, 3.25])
     np.testing.assert_array_equal(params.stds, [0.0, 0.0])
     with pytest.raises(ValueError, match="empty"):
-        fit_standardizer([])
+        fit_standardizer(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="ndim 2, got ndim=1"):
+        fit_standardizer(np.zeros(2))
 
 
 def test_fit_standardizer_matches_two_pass_oracle():

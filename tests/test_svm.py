@@ -343,16 +343,26 @@ def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, se
         assert gap <= 2 * len(y) * C * cfg.tolerance
 
 
-def test_cv_kernel_never_updates_a_zero_row_without_bias():
+def test_zero_rows_without_bias_sit_at_c_and_converge():
+    """Without a bias a zero row's dual term is linear, so alpha_i = C is
+    optimal and leaves w unchanged; both solvers start it there."""
     X, labels = cluster_labels_matrix(n_per_class=3, d=5, separation=6.0, sigma=1.0, seed=2)
     X[4] = 0.0
-    cfg = SvmTrainConfig(seed=1, bias=False, max_epochs=5)
+    X[11] = 0.0
+    cfg = SvmTrainConfig(seed=1, bias=False)
     _, alpha, converged = _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
-    assert (alpha[:, 4] == 0.0).all()
-    # as in train_binary: its gradient stays -1, so no problem converges
-    assert not converged.any()
-    _, info = train_binary(X, np.where(np.asarray(labels) == 0, 1.0, -1.0), cfg, full_output=True)
-    assert info.alpha[4] == 0.0 and not info.converged
+    assert converged.all()
+    problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
+    solves = [(alpha[p], C, y) for p, (C, y) in enumerate(problems)]
+    for c in range(7):
+        y = np.where(np.asarray(labels) == c, 1.0, -1.0)
+        _, info = train_binary(X, y, replace(cfg, seed=c), debug=True, full_output=True)
+        assert info.converged
+        solves.append((info.alpha, cfg.C, y))
+    for a, C, y in solves:
+        assert a[4] == a[11] == C
+        w = (a * y) @ X
+        assert np.abs(_projected_gradient(a, y * (X @ w) - 1.0, C)).max() < cfg.tolerance
 
 
 def test_cv_kernel_is_deterministic_and_checks_its_input():
