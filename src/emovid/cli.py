@@ -152,6 +152,8 @@ def cmd_aggregate(args) -> int:
     if not manifest.entries:
         raise ValueError(f"{args.manifest}: no videos")
     config = load_pipeline_config(args.config)
+    # the sections as written: a stream of one-vector files takes only {}
+    written = read_json(args.config).get("streams", {}) if args.config else {}
     if args.features_dir:
         manifest = replace(manifest, root=Path(args.features_dir))
     out_dir = Path(args.out)
@@ -165,7 +167,7 @@ def cmd_aggregate(args) -> int:
                 if sniff_stream_kind(path) == "frames":
                     seq = load_frame_features(path, video_id=entry.video_id)
                     descriptor = build_video_descriptor(seq, agg_cfg).features
-                elif agg_cfg != AggregationConfig():
+                elif written.get(stream_name):
                     raise ValueError(f"stream {stream_name!r}: aggregation settings apply to "
                                      f"frame files only, and {str(path)!r} holds one vector")
                 else:

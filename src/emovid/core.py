@@ -45,6 +45,11 @@ def label_from_name(name: str) -> EmotionLabel:
         raise ValueError(f"unknown emotion label: {name!r}") from None
 
 
+def class_indices(labels) -> np.ndarray:
+    """The class index 0..6 of each EmotionLabel (or int) in labels."""
+    return np.array([int(EmotionLabel(label)) for label in labels], dtype=np.int64)
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)  # always copies
     arr.setflags(write=False)

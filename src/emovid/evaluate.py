@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMOTION_SHORT_NAMES, NUM_CLASSES, EmotionLabel
+from .core import EMOTION_SHORT_NAMES, NUM_CLASSES, class_indices
 from .util import config_to_dict
 
 
@@ -32,11 +32,10 @@ class EvaluationReport:
 
 def evaluate(predictions, truths) -> EvaluationReport:
     """Tally a confusion matrix, overall accuracy and per-class recall."""
-    pred = [int(EmotionLabel(p)) for p in predictions]
-    true = [int(EmotionLabel(t)) for t in truths]
+    pred, true = class_indices(predictions), class_indices(truths)
     if len(pred) != len(true):
         raise ValueError(f"{len(pred)} predictions but {len(true)} truths")
-    if not pred:
+    if not len(pred):
         raise ValueError("cannot evaluate an empty prediction set")
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for t, p in zip(true, pred):

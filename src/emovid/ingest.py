@@ -23,8 +23,8 @@ cell only float() reads (such as 1_0) or any fault is read again by
 csv.reader, which reports each error at its line. The CSV
 writers format floats with %.17g and the JSON writer with the shortest
 repr (the stdlib encoder's); both round-trip every float64, so
-write-then-read reproduces every matrix bit-exactly. NaN and Infinity
-are rejected in JSON on both sides.
+write-then-read reproduces every matrix bit-exactly. NaN, Infinity and
+literals beyond float64 (1e400) are rejected in JSON on both sides.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import csv
 import functools
 import itertools
 import json
+import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -94,13 +96,17 @@ class Manifest:
 # --- JSON -----------------------------------------------------------------------
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a finite number")
+def _finite_float(text: str) -> float:
+    """A finite float from a JSON number or constant; NaN, Infinity and 1e400 raise."""
+    value = float(text)
+    if not math.isfinite(value):  # not np.isfinite: this runs once per literal
+        raise ValueError(f"{reprlib.repr(text)} is not a finite number")
+    return value
 
 
 def _json_object(text: str, where) -> dict:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except ValueError as exc:  # json.JSONDecodeError included
         raise ValueError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):

@@ -15,6 +15,8 @@ never decreases. Multiclass is one-vs-rest; model selection is
 stratified k-fold cross-validation over a grid of C values with the
 normalization chain re-fit inside every fold, each fold's whole grid
 solved at once in Gram space (_cv_solve).
+Every solver row, in training, CV and prediction, comes from
+_design_matrix: the fitted chain, one finiteness check, the bias column.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import EMOTION_NAMES, NUM_CLASSES, EmotionLabel, ScoreMatrix
+from .core import EMOTION_NAMES, NUM_CLASSES, ScoreMatrix, class_indices
 from .normalize import (
     IDENTITY_NORMALIZATION,
     NormalizationConfig,
@@ -117,20 +119,30 @@ def dual_objective(alpha: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     return float(alpha.sum()) - 0.5 * float(w @ w)
 
 
-def _validate_binary_inputs(X, y):
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _design_matrix(X, normalization: NormalizationParams, bias: bool) -> np.ndarray:
+    """C-contiguous solver rows for raw descriptors X: the fitted chain (not
+    applied when every stage is off), one check that every value is
+    finite, then the constant-1 column when bias is on."""
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got ndim={X.ndim}")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    if X.shape[0] < 1:
-        raise ValueError("need at least one training sample")
+    if normalization != IDENTITY_NORMALIZATION:
+        X = apply_normalization(X, normalization)
     if not np.isfinite(X).all():
         raise ValueError("non-finite value in X")
+    return add_bias_column(X) if bias else np.ascontiguousarray(X)
+
+
+def _validate_binary_inputs(X, y):
+    """y as a float array of +1/-1, one per row of X."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    if y.size < 1:
+        raise ValueError("need at least one training sample")
     if not np.isin(y, (-1.0, 1.0)).all():
         raise ValueError("labels must be +1 or -1")
-    return X, y
+    return y
 
 
 def _projected_gradient(alpha, grad, C):
@@ -166,9 +178,8 @@ def train_binary(
 
     Both classes need not be present; an all-one-class problem is legal.
     """
-    X, y = _validate_binary_inputs(X, y)
-    if cfg.bias:
-        X = add_bias_column(X)
+    X = _design_matrix(X, IDENTITY_NORMALIZATION, cfg.bias)
+    y = _validate_binary_inputs(X, y)
     n = X.shape[0]
     C = float(cfg.C)
 
@@ -272,21 +283,16 @@ def train_ovr(
     normalization), y_c, cfg with seed cfg.seed + c). Returns the model;
     solves stopped at cfg.max_epochs are logged as one warning.
     """
-    X = np.ascontiguousarray(apply_normalization(X, normalization), dtype=np.float64)
-    label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
+    # built once; each class's train_binary call only re-checks these rows
+    X = _design_matrix(X, normalization, cfg.bias)
+    label_idx = class_indices(labels)
     if X.shape[0] != label_idx.size:
         raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
-    # checked and given its bias column once; each class's train_binary call
-    # solves on this matrix and only re-checks it
-    X, _ = _validate_binary_inputs(X, np.ones(label_idx.size))
-    if cfg.bias:
-        X = add_bias_column(X)
-    solve_cfg = replace(cfg, bias=False)
     weight_rows = []
     solves = []
     for c in range(NUM_CLASSES):
         y = np.where(label_idx == c, 1.0, -1.0)
-        w, info = train_binary(X, y, replace(solve_cfg, seed=cfg.seed + c), full_output=True)
+        w, info = train_binary(X, y, replace(cfg, bias=False, seed=cfg.seed + c), full_output=True)
         weight_rows.append(w)
         solves.append((cfg.C, c, info.converged))
     model = LinearSvmModel(np.stack(weight_rows), cfg, normalization)
@@ -322,9 +328,7 @@ def decision_scores(model: LinearSvmModel, X: np.ndarray, video_ids=None) -> Sco
             f"dimension mismatch: inputs have {width} features "
             f"(bias included), model expects {model.weights.shape[1]}"
         )
-    X = apply_normalization(X, model.normalization)
-    if model.config.bias:
-        X = add_bias_column(X)
+    X = _design_matrix(X, model.normalization, model.config.bias)
     if video_ids is None:
         video_ids = tuple(str(i) for i in range(X.shape[0]))
     return ScoreMatrix(tuple(video_ids), X @ model.weights.T)
@@ -337,7 +341,7 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     seeded generator, then dealt round-robin; a global deal counter keeps
     fold sizes balanced.
     """
-    label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
+    label_idx = class_indices(labels)
     n = label_idx.size
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -357,11 +361,12 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def _cv_solve(train_x, train_y, grid, cfg: SvmTrainConfig):
-    """Solve one fold's every (C, class) one-vs-rest problem in lockstep.
+def _cv_solve(X, class_idx, grid, cfg: SvmTrainConfig):
+    """Solve one fold's every (C, class) one-vs-rest problem in lockstep,
+    on the fold's training rows X as _design_matrix built them.
 
     Problem p = g * 7 + c is class c against the rest at C = grid[g]. The
-    problems share the Gram matrix K = Xb Xb^T (8 n^2 bytes), and each keeps
+    problems share the Gram matrix K = X X^T (8 n^2 bytes), and each keeps
     F = (alpha * Y) K, the decision values w_p . x_i, so a coordinate step
     costs O(n) per problem whatever the width. Each pass visits every
     coordinate in one order, shared by the problems and drawn from a
@@ -371,16 +376,13 @@ def _cv_solve(train_x, train_y, grid, cfg: SvmTrainConfig):
     After a pass F is recomputed exactly, and a problem leaves
     once its largest |projected gradient| there is below cfg.tolerance, or
     after cfg.max_epochs passes. Returns (weights, alpha, converged), one
-    row per problem: the weights (alpha * Y)^T Xb, the duals over the
+    row per problem: the weights (alpha * Y)^T X, the duals over the
     fold's rows, and whether the problem converged.
     """
-    X, _ = _validate_binary_inputs(train_x, np.ones(len(train_y)))
-    if cfg.bias:
-        X = add_bias_column(X)
     K = X @ X.T
     diag = K.diagonal().tolist()
     # (n, P) layouts, so that coordinate i of every problem is one row
-    Y = np.tile(np.where(np.asarray(train_y)[:, None] == np.arange(NUM_CLASSES), 1.0, -1.0),
+    Y = np.tile(np.where(class_idx[:, None] == np.arange(NUM_CLASSES), 1.0, -1.0),
                 len(grid))
     C = np.repeat(np.asarray(grid, dtype=np.float64), NUM_CLASSES)
     alpha = np.zeros(Y.shape)
@@ -420,32 +422,29 @@ def cross_validate_c(
     """Pick the regularization constant by stratified k-fold CV.
 
     For each fold the normalization chain is re-fit on that fold's
-    training portion only, and _cv_solve trains the fold's models for the
-    whole grid at once. Returns (best C, list of per-C mean accuracies
+    training portion only and applied once to every row; _cv_solve trains
+    the fold's models for the whole grid at once on the training slice of
+    those rows. Returns (best C, list of per-C mean accuracies
     aligned with the grid); ties go to the smallest C. Solves stopped at
     cfg.max_epochs are logged as one warning for the whole grid.
     """
-    grid = [float(c) for c in grid]
+    grid = [replace(cfg, C=float(c)).C for c in grid]  # each C checked by SvmTrainConfig
     if not grid:
         raise ValueError("empty C grid")
-    if any(c <= 0 for c in grid):
-        raise ValueError("C values must be positive")
     X = np.asarray(X, dtype=np.float64)
-    label_idx = np.asarray([int(EmotionLabel(l)) for l in labels])
+    label_idx = class_indices(labels)
+    if X.shape[0] != label_idx.size:
+        raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
     fold_of = stratified_folds(label_idx, folds, seed)
 
     fold_accs = []
     solves = []
     for k in range(folds):
-        train_mask = fold_of != k
-        params = fit_normalization(X[train_mask], norm_config)
-        weights, _, converged = _cv_solve(apply_normalization(X[train_mask], params),
-                                          label_idx[train_mask], grid, cfg)
-        val_x = apply_normalization(X[~train_mask], params)
-        if cfg.bias:
-            val_x = add_bias_column(val_x)
-        scores = (val_x @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
-        fold_accs.append((scores.argmax(axis=2) == label_idx[~train_mask, None]).mean(axis=0))
+        train = fold_of != k
+        rows = _design_matrix(X, fit_normalization(X[train], norm_config), cfg.bias)
+        weights, _, converged = _cv_solve(rows[train], label_idx[train], grid, cfg)
+        scores = (rows[~train] @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
+        fold_accs.append((scores.argmax(axis=2) == label_idx[~train, None]).mean(axis=0))
         solves += [(grid[p // NUM_CLASSES], p % NUM_CLASSES, ok) for p, ok in enumerate(converged)]
     # one contiguous row per C, averaged as np.mean averages a list of floats
     mean_accuracies = np.column_stack(fold_accs).mean(axis=1).tolist()

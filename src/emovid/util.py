@@ -74,10 +74,14 @@ def decode_value(value, hint, what: str, key: str):
         if len(arms) == len(value):
             return tuple(decode_value(v, arm, what, key) for v, arm in zip(value, arms))
     elif hint is np.ndarray:
-        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-            return np.array(value, dtype=np.float64)
+        if isinstance(value, list):
+            return np.array([decode_value(v, float, what, key) for v in value], dtype=np.float64)
     elif hint is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} key {key!r}: {reprlib.repr(value)} is not a finite "
+                             "float64") from None
     raise ValueError(f"{what} key {key!r}: expected {_kind(hint)}, got {reprlib.repr(value)}")
 
 

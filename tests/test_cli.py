@@ -449,12 +449,14 @@ def test_cv_train_and_predict_depend_on_the_set_of_videos_not_their_order(
 
 
 def test_aggregate_refuses_aggregation_settings_for_a_vector_stream(capsys, tmp_path):
+    """Only {} is accepted, so an explicit default setting is refused too."""
     config = write_audio_dataset(tmp_path, tmp_path / "m.jsonl")
-    Path(config).write_text(json.dumps({"streams": {"audio": {"aggregators": ["fft"]}}}))
-    err = run_fail(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"),
-                   "--config", config, "--out", str(tmp_path / "d"))
-    assert "stream 'audio': aggregation settings apply to frame files only" in err
-    assert not (tmp_path / "d" / "audio.csv").exists()
+    for aggregators in (["fft"], ["mean", "std", "min"]):
+        Path(config).write_text(json.dumps({"streams": {"audio": {"aggregators": aggregators}}}))
+        err = run_fail(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"),
+                       "--config", config, "--out", str(tmp_path / "d"))
+        assert "stream 'audio': aggregation settings apply to frame files only" in err
+        assert not (tmp_path / "d" / "audio.csv").exists()
 
 
 def model_doc(top=(), config=()):
@@ -501,6 +503,13 @@ BAD_DOCUMENTS = [
     ("predict", model_doc(top={"standardizer": {"means": [0.0] * 3, "stds": [1.0] * 3}},
                           config={"normalization": {"range_scale": False, "standardize": True}}),
      "standardizer.means"),
+    # numbers beyond float64: a literal that parses to inf is refused by the
+    # JSON reader, which names the literal; an integer, by the key's decoder
+    ("train", '{"cv": {"grid": [1e400, 1.0]}}', "1e400"),
+    ("train", '{"svm": {"C": -1e400}}', "-1e400"),
+    ("train", {"svm": {"C": 10 ** 400}}, "svm.C"),
+    ("predict", model_doc(top={"range_scaler": {"mins": [10 ** 400, 0.0], "maxs": [1.0, 1.0]}}),
+     "range_scaler.mins"),
 ]
 
 
@@ -509,7 +518,7 @@ BAD_DOCUMENTS = [
 )
 def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, key):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     absent = str(tmp_path / "absent")
     argv = {
         "train": ["train", "--descriptors", absent, "--manifest", absent,

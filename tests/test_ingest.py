@@ -267,7 +267,7 @@ def test_descriptor_header_names_and_blank_lines(tmp_path):
 def test_json_non_finite_constants_rejected(tmp_path, constant):
     doc = tmp_path / "doc.json"
     doc.write_text(f'{{"svm": {{"C": {constant}}}}}')
-    with pytest.raises(ValueError, match=re.escape(f"{doc}: invalid JSON ({constant} ")):
+    with pytest.raises(ValueError, match=re.escape(f"{doc}: invalid JSON ('{constant}' ")):
         ingest.read_json(doc)
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(manifest_line("v1")[:-1] + f', "score": {constant}}}\n')

@@ -7,7 +7,12 @@ import pytest
 from helpers import cluster_labels_matrix, margin_suite
 
 from emovid.core import EmotionLabel
-from emovid.normalize import NormalizationConfig, apply_normalization, fit_normalization
+from emovid.normalize import (
+    IDENTITY_NORMALIZATION,
+    NormalizationConfig,
+    apply_normalization,
+    fit_normalization,
+)
 from emovid.svm import (
     LinearSvmModel,
     SvmTrainConfig,
@@ -24,6 +29,7 @@ from emovid.svm import (
     train_binary,
     train_ovr,
     _cv_solve,
+    _design_matrix,
     _projected_gradient,
 )
 from emovid.synth import oracle_svm_subgradient
@@ -288,6 +294,10 @@ def test_cv_input_validation():
         cross_validate_c(np.zeros((3, 2)), [0, 1, 2], [1.0], folds=5)
     with pytest.raises(ValueError, match="positive"):
         cross_validate_c(X, labels, [-1.0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        cross_validate_c(X, labels, [1.0, np.inf])
+    with pytest.raises(ValueError, match="9 rows but 10 labels"):
+        cross_validate_c(X[:9], labels, [1.0])
 
 
 def _per_problem_cv_accuracies(X, labels, grid, cfg, folds, seed):
@@ -327,8 +337,8 @@ def test_cv_kernel_matches_per_problem_solves(n_per_class, d, separation, bias):
 def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, separation, bias):
     X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
     cfg = SvmTrainConfig(seed=4, bias=bias)
-    weights, alpha, converged = _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
-    augmented = add_bias_column(X) if bias else X
+    augmented = _design_matrix(X, IDENTITY_NORMALIZATION, bias)
+    weights, alpha, converged = _cv_solve(augmented, np.asarray(labels), CV_GRID, cfg)
     # problem p = g * 7 + c is class c against the rest at C = CV_GRID[g]
     problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
     assert alpha.shape == (len(problems), X.shape[0]) and converged.all()
@@ -350,7 +360,8 @@ def test_zero_rows_without_bias_sit_at_c_and_converge():
     X[4] = 0.0
     X[11] = 0.0
     cfg = SvmTrainConfig(seed=1, bias=False)
-    _, alpha, converged = _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
+    rows = _design_matrix(X, IDENTITY_NORMALIZATION, cfg.bias)
+    _, alpha, converged = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
     assert converged.all()
     problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
     solves = [(alpha[p], C, y) for p, (C, y) in enumerate(problems)]
@@ -366,17 +377,86 @@ def test_zero_rows_without_bias_sit_at_c_and_converge():
 
 
 def test_cv_kernel_is_deterministic_and_checks_its_input():
+    """The kernel solves the rows it is given; cross_validate_c builds them
+    and so checks them."""
     X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=2)
     cfg = SvmTrainConfig(seed=11)
-    first = _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
-    second = _cv_solve(X.copy(), np.asarray(labels), CV_GRID, cfg)
+    rows = _design_matrix(X, IDENTITY_NORMALIZATION, cfg.bias)
+    first = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
+    second = _cv_solve(rows.copy(), np.asarray(labels), CV_GRID, cfg)
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
     assert (cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1)
             == cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1))
     X[3, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite value in X"):
-        _cv_solve(X, np.asarray(labels), CV_GRID, cfg)
+        cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1,
+                         norm_config=NormalizationConfig(False, False, False))
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_cv_validation_scores_equal_the_folds_model_scores(bias, monkeypatch):
+    """A fold's validation scores, sliced from the one matrix of its chain,
+    equal decision_scores of the model made of that chain and the kernel's
+    weights, and the models' fold accuracies average to cross_validate_c's."""
+    X, labels = cluster_labels_matrix(n_per_class=5, d=12, separation=2.0, sigma=1.0, seed=3)
+    label_idx = np.asarray(labels)
+    cfg = SvmTrainConfig(seed=4, bias=bias)
+    kernel_weights = []
+
+    def recording_cv_solve(*args):
+        result = _cv_solve(*args)
+        kernel_weights.append(result[0])
+        return result
+
+    monkeypatch.setattr("emovid.svm._cv_solve", recording_cv_solve)
+    _, accuracies = cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=9)
+    fold_of = stratified_folds(labels, 3, seed=9)
+    model_accuracies = np.zeros((3, len(CV_GRID)))
+    for k, weights in enumerate(kernel_weights):
+        train = fold_of != k
+        params = fit_normalization(X[train])
+        rows = _design_matrix(X, params, bias)
+        for g, c_value in enumerate(CV_GRID):
+            w = weights[g * 7:(g + 1) * 7]
+            cv_scores = rows[~train] @ w.T
+            model = LinearSvmModel(w, replace(cfg, C=c_value), params)
+            scores = decision_scores(model, X[~train]).scores
+            np.testing.assert_allclose(scores, cv_scores, rtol=0, atol=1e-12)
+            assert (scores.argmax(axis=1) == cv_scores.argmax(axis=1)).all()
+            model_accuracies[k, g] = (scores.argmax(axis=1) == label_idx[~train]).mean()
+    assert len(kernel_weights) == 3
+    assert accuracies == model_accuracies.mean(axis=0).tolist()
+    assert min(accuracies) < 1.0
+
+
+@pytest.mark.parametrize("call", ["train_binary", "train_ovr", "cross_validate_c",
+                                  "decision_scores"])
+def test_every_row_builder_caller_rejects_a_non_finite_value(call):
+    X, labels = cluster_labels_matrix(n_per_class=3, d=4, separation=6.0, sigma=1.0, seed=1)
+    X[5, 1] = np.nan
+    cfg = SvmTrainConfig()
+    with pytest.raises(ValueError, match="non-finite value in X"):
+        if call == "train_binary":
+            train_binary(X, np.where(np.asarray(labels) == 0, 1.0, -1.0), cfg)
+        elif call == "train_ovr":
+            train_ovr(X, labels, cfg)
+        elif call == "cross_validate_c":
+            cross_validate_c(X, labels, CV_GRID, cfg, folds=3,
+                             norm_config=NormalizationConfig(False, False, False))
+        else:
+            decision_scores(LinearSvmModel(np.zeros((7, 5)), cfg), X)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_design_rows_are_the_chain_then_the_bias_column(bias):
+    X, _ = cluster_labels_matrix(n_per_class=3, d=4, separation=6.0, sigma=1.0, seed=1)
+    params = fit_normalization(X[:12])
+    want = apply_normalization(X, params)
+    rows = _design_matrix(X, params, bias)
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == (add_bias_column(want) if bias else want).tobytes()
+    assert _design_matrix(X, IDENTITY_NORMALIZATION, False).tobytes() == X.tobytes()
 
 
 def test_model_round_trip_bit_exact(tmp_path):
