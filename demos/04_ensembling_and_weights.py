@@ -1,7 +1,7 @@
 """Combining score streams and reweighting classes by prior.
 
 Each feature stream trains its own SVM and contributes one score matrix.
-Softmax mode maps every row to a probability vector before averaging
+combine_streams maps every row to a probability vector before averaging
 (raw decision values from different SVMs are not on a common scale).
 When the evaluation set's class distribution is known to be skewed,
 multiplying class c's scores by sqrt(n_c)/sum(sqrt(n)) trades rare-class
@@ -11,7 +11,6 @@ recall for overall accuracy.
 import numpy as np
 
 from emovid import (
-    EnsembleConfig,
     ScoreMatrix,
     apply_class_weights,
     class_weights_from_counts,
@@ -36,7 +35,7 @@ streams = [
 single_accuracies = [
     float((np.array([int(p) for p in predict(s)]) == truth).mean()) for s in streams
 ]
-combined = combine_streams(streams, EnsembleConfig("softmax"))
+combined = combine_streams(streams)
 combined_accuracy = float(
     (np.array([int(p) for p in predict(combined)]) == truth).mean()
 )
@@ -58,7 +57,7 @@ scores = ScoreMatrix(
     tuple(f"t{i}" for i in range(truth.size)),
     np.eye(7)[truth] * 0.8 + rng.standard_normal((truth.size, 7)),
 )
-probs = combine_streams([scores], EnsembleConfig("softmax"))
+probs = combine_streams([scores])
 unweighted = predict(probs)
 weighted = predict(apply_class_weights(probs, weights))
 

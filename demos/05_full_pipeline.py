@@ -14,7 +14,6 @@ import numpy as np
 
 from emovid import (
     AggregationConfig,
-    EnsembleConfig,
     SvmTrainConfig,
     SynthConfig,
     combine_streams,
@@ -75,6 +74,6 @@ for name, scores in (("stream A", stream_a), ("stream B", stream_b)):
                 == np.array([int(t) for t in truths])).mean()
     print(f"{name} alone: {accuracy:.3f}")
 
-combined = combine_streams([stream_a, stream_b], EnsembleConfig("softmax"))
+combined = combine_streams([stream_a, stream_b])
 print("\nensemble of both streams:")
 print(render_report(evaluate(predict(combined), truths)))

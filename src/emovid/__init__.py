@@ -32,7 +32,6 @@ from .core import (
     label_from_name,
 )
 from .ensemble import (
-    EnsembleConfig,
     apply_class_weights,
     class_weights_from_counts,
     combine_streams,

@@ -1,5 +1,5 @@
 """Command-line entry point: synth, aggregate, cv, train, predict,
-ensemble, weigh, evaluate.
+ensemble, evaluate.
 
 Configs are JSON documents with every field defaulted; flags override
 config values, and all randomness flows from one --seed flag mixed per
@@ -18,25 +18,23 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import AggregationConfig, build_video_descriptor
-from .core import SPLITS, ClassWeights, EmotionLabel, label_from_name
-from .ensemble import SCORE_MODES, EnsembleConfig, class_weights_from_counts, predict, run_ensemble
+from .core import SPLITS, label_from_name
+from .ensemble import class_weights_from_counts, predict, run_ensemble
 from .evaluate import evaluate, render_report, report_to_dict
 from .ingest import (
     load_audio_features,
     load_frame_features,
     load_manifest,
-    parse_weight_row,
+    parse_counts,
     read_descriptors,
     read_json,
     read_predictions,
     read_scores,
-    read_weight_row,
     sniff_stream_kind,
     write_descriptors,
     write_json,
     write_predictions,
     write_scores,
-    write_weights,
 )
 from .normalize import NormalizationConfig, fit_normalization
 from .svm import (
@@ -74,7 +72,6 @@ class PipelineConfig:
     )
     normalization: NormalizationConfig = NormalizationConfig()
     svm: SvmTrainConfig = SvmTrainConfig()
-    ensemble: EnsembleConfig = EnsembleConfig()
     cv: CvConfig = CvConfig()
 
     def __post_init__(self):
@@ -147,6 +144,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
+_KIND_TEXT = {"frames": "a frame grid", "audio": "one vector"}
+
+
 def cmd_aggregate(args) -> int:
     manifest = load_manifest(args.manifest)
     if not manifest.entries:
@@ -161,10 +161,17 @@ def cmd_aggregate(args) -> int:
     for stream_name, agg_cfg in config.streams.items():
         ids = []
         rows = []
+        kind = None  # the stream's first file decides the kind of all of its files
         for entry in manifest.entries:
             path = manifest.resolve(entry, stream_name)
             try:
-                if sniff_stream_kind(path) == "frames":
+                file_kind = sniff_stream_kind(path)
+                kind = kind or file_kind
+                if file_kind != kind:
+                    raise ValueError(f"stream {stream_name!r}: {str(path)!r} holds "
+                                     f"{_KIND_TEXT[file_kind]}, but the stream's first file "
+                                     f"holds {_KIND_TEXT[kind]}")
+                if kind == "frames":
                     seq = load_frame_features(path, video_id=entry.video_id)
                     descriptor = build_video_descriptor(seq, agg_cfg).features
                 elif written.get(stream_name):
@@ -240,53 +247,17 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _class_weights_from_args(args) -> ClassWeights | None:
-    chosen = [
-        name
-        for name, value in (
-            ("--counts", args.counts),
-            ("--counts-file", args.counts_file),
-            ("--weights", args.weights),
-            ("--weights-file", args.weights_file),
-        )
-        if value is not None
-    ]
-    if len(chosen) > 1:
-        raise ValueError(f"use only one of {', '.join(chosen)}")
-    if args.counts is not None:
-        return class_weights_from_counts(parse_weight_row(args.counts))
-    if args.counts_file is not None:
-        return class_weights_from_counts(read_weight_row(args.counts_file))
-    if args.weights is not None:
-        return ClassWeights(parse_weight_row(args.weights))
-    if args.weights_file is not None:
-        return ClassWeights(read_weight_row(args.weights_file))
-    return None
-
-
 def cmd_ensemble(args) -> int:
-    config = load_pipeline_config(args.config)
-    mode = args.mode if args.mode is not None else config.ensemble.score_mode
-    weights = _class_weights_from_args(args)
+    load_pipeline_config(args.config)  # checked as every command checks it; nothing applies here
+    weights = None if args.counts is None else class_weights_from_counts(parse_counts(args.counts))
     streams = [read_scores(p) for p in args.scores]
-    combined = run_ensemble(streams, EnsembleConfig(mode), weights)
+    combined = run_ensemble(streams, weights)
     write_scores(combined, args.out)
-    print(f"combined {len(streams)} stream(s) in {mode} mode -> {args.out}")
+    print(f"combined {len(streams)} stream(s) -> {args.out}")
     if args.predictions:
         labels = predict(combined)
         write_predictions(combined.video_ids, labels, args.predictions)
         print(f"wrote predictions to {args.predictions}")
-    return 0
-
-
-def cmd_weigh(args) -> int:
-    weights = _class_weights_from_args(args)
-    if weights is None:
-        raise ValueError("provide --counts, --counts-file, --weights or --weights-file")
-    write_weights(weights, args.out)
-    for label, value in zip(EmotionLabel, weights.weights):
-        print(f"{label.display_name:<9} {value:.2f}")
-    print(f"wrote weights to {args.out}")
     return 0
 
 
@@ -361,25 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="score CSV path")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("ensemble", help="combine score streams")
+    p = sub.add_parser("ensemble", help="softmax-average score streams, weight by sqrt prior")
     p.add_argument("--scores", nargs="+", required=True, help="score CSVs to combine")
     p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--mode", choices=SCORE_MODES)
-    p.add_argument("--counts", help="7 comma-separated class counts")
-    p.add_argument("--counts-file", help="CSV row of 7 class counts")
-    p.add_argument("--weights", help="7 comma-separated class weights")
-    p.add_argument("--weights-file", help="CSV row of 7 class weights")
+    p.add_argument("--counts", help="7 comma-separated evaluation-set class counts")
     p.add_argument("--out", required=True, help="combined score CSV path")
     p.add_argument("--predictions", help="optional predictions CSV path")
     p.set_defaults(func=cmd_ensemble)
-
-    p = sub.add_parser("weigh", help="class weights from counts or passthrough")
-    p.add_argument("--counts", help="7 comma-separated class counts")
-    p.add_argument("--counts-file", help="CSV row of 7 class counts")
-    p.add_argument("--weights", help="7 comma-separated class weights")
-    p.add_argument("--weights-file", help="CSV row of 7 class weights")
-    p.add_argument("--out", required=True, help="weights CSV path")
-    p.set_defaults(func=cmd_weigh)
 
     p = sub.add_parser("evaluate", help="accuracy and confusion matrix")
     p.add_argument("--predictions", required=True, help="predictions CSV")

@@ -1,15 +1,13 @@
 """Combine score streams, weight classes by prior, read out predictions.
 
-Decision values from independently trained SVMs are not commensurable, so
-the default combination first maps each stream's rows through a softmax;
-raw averaging is kept as an alternative but refuses class weights (a
-positive multiplier on a negative decision value would push the class
-down, not up).
+Decision values from independently trained SVMs are not on a common
+scale, so every stream's rows go through a softmax before the streams are
+averaged. The combined rows are probability vectors, which is what makes
+a class weight meaningful: a positive multiplier on a nonnegative score
+moves the class up, never down.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,26 +15,9 @@ from .core import NUM_CLASSES, ClassWeights, EmotionLabel, ScoreMatrix
 from .ingest import (  # noqa: F401 - re-exported; ingest holds every file format
     read_predictions,
     read_scores,
-    read_weight_row,
     write_predictions,
     write_scores,
-    write_weights,
 )
-
-SCORE_MODES = ("raw", "softmax")
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """The pipeline config's "ensemble" section; ensemble --mode overrides it."""
-
-    score_mode: str = "softmax"
-
-    def __post_init__(self):
-        if self.score_mode not in SCORE_MODES:
-            raise ValueError(
-                f"unknown score_mode {self.score_mode!r}, expected one of {SCORE_MODES}"
-            )
 
 
 def class_weights_from_counts(counts) -> ClassWeights:
@@ -60,10 +41,9 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def combine_streams(streams, cfg: EnsembleConfig = EnsembleConfig()) -> ScoreMatrix:
-    """Average score rows elementwise across streams.
+def combine_streams(streams) -> ScoreMatrix:
+    """Average the softmax of each stream's rows elementwise across streams.
 
-    In softmax mode every stream's rows become probability vectors first.
     All streams must list the same video ids in the same order.
     """
     streams = list(streams)
@@ -76,9 +56,7 @@ def combine_streams(streams, cfg: EnsembleConfig = EnsembleConfig()) -> ScoreMat
             raise ValueError(
                 f"stream {k} video ids disagree with stream 0, first offender: {offending!r}"
             )
-    stacked = np.stack([s.scores for s in streams])
-    if cfg.score_mode == "softmax":
-        stacked = np.stack([softmax_rows(layer) for layer in stacked])
+    stacked = np.stack([softmax_rows(s.scores) for s in streams])
     return ScoreMatrix(reference, stacked.mean(axis=0))
 
 
@@ -93,7 +71,7 @@ def apply_class_weights(scores: ScoreMatrix, weights: ClassWeights) -> ScoreMatr
     """Multiply column c by weight w_c; requires nonnegative scores."""
     if (scores.scores < 0).any():
         raise ValueError(
-            "class weights require nonnegative scores (combine in softmax mode first)"
+            "class weights require nonnegative scores (combine_streams gives them)"
         )
     return ScoreMatrix(scores.video_ids, scores.scores * weights.weights)
 
@@ -103,11 +81,7 @@ def predict(scores: ScoreMatrix) -> list:
     return [EmotionLabel(int(i)) for i in scores.scores.argmax(axis=1)]
 
 
-def run_ensemble(streams, cfg: EnsembleConfig = EnsembleConfig(), weights=None) -> ScoreMatrix:
+def run_ensemble(streams, weights=None) -> ScoreMatrix:
     """combine_streams, then apply_class_weights with the ClassWeights when given."""
-    combined = combine_streams(streams, cfg)
-    if weights is not None:
-        if cfg.score_mode != "softmax":
-            raise ValueError("class weights require softmax score mode")
-        combined = apply_class_weights(combined, weights)
-    return combined
+    combined = combine_streams(streams)
+    return combined if weights is None else apply_class_weights(combined, weights)

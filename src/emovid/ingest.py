@@ -9,7 +9,7 @@ Formats:
   audio file    CSV header f0,...,f{d-1} and exactly one data row
   descriptors   CSV header id,x0,...,x{D-1}; one row per video
   scores        CSV header id,Angry,...,Surprise; one row per video
-  weights       CSV without header: one row of 7 values
+  class counts  7 comma-separated numbers given inline (ensemble --counts)
   predictions   CSV header id,label with canonical label names
   JSON          one object per file (configs, models, reports)
 
@@ -45,7 +45,6 @@ from .core import (
     EMOTION_NAMES,
     NUM_CLASSES,
     SPLITS,
-    ClassWeights,
     EmotionLabel,
     FrameFeatureSequence,
     ScoreMatrix,
@@ -192,9 +191,7 @@ def _row_values(row, width: int, start: int, where, parse: bool = True):
 
 def _layout(path, fixed, features, header) -> tuple:
     """(width, start): the cells in a row and the index of its first float
-    cell, for a file whose header cells are header (None without one)."""
-    if fixed is None:
-        return len(features), 0
+    cell, for a file whose header cells are header."""
     names = header[len(fixed):]
     if isinstance(features, str):
         # the expected text has count - 1 commas, so no name may hold one
@@ -212,8 +209,7 @@ def _read_rows(path, fixed, features, unique: bool = False, keep=None):
     """Yield (line number, fixed cells, float values) for each data row of a CSV.
 
     The header must be fixed + features, where features is a tuple of
-    names or a prefix p standing for p0,...,p{d-1} with d >= 1; fixed=None
-    means the file has no header and len(features) columns. Blank lines
+    names or a prefix p standing for p0,...,p{d-1} with d >= 1. Blank lines
     are skipped. Every row must have the header's width, and its cells
     after the fixed columns must be finite numbers; with unique, no two
     rows may share their first cell. With keep, a row whose first cell is
@@ -266,9 +262,8 @@ def _fast_rows(path, fixed, features, unique, keep):
     with open(path, "r", encoding="utf-8", newline="") as fp:
         lines = enumerate(fp, start=1)
         try:
-            header = None
-            if fixed is not None:  # a quoted name matches nothing, so _csv_rows reads it
-                header = tuple(next(lines, (1, ""))[1].rstrip("\r\n").split(","))
+            # a quoted name matches nothing, so _csv_rows reads it
+            header = tuple(next(lines, (1, ""))[1].rstrip("\r\n").split(","))
             width, start = _layout(path, fixed, features, header)
             texts = float_text(lines, width, start)
             first = next(texts, None)
@@ -299,7 +294,7 @@ def _csv_rows(path, fixed, features, unique, keep):
             return f"{path}: line {reader.line_num}"
 
         try:
-            header = None if fixed is None else tuple(next(reader, ()))
+            header = tuple(next(reader, ()))
             width, start = _layout(path, fixed, features, header)
             for row in reader:
                 if not row:
@@ -315,8 +310,8 @@ def _csv_rows(path, fixed, features, unique, keep):
 
 
 def _write_rows(path, header, rows) -> None:
-    """Write a CSV: the header (None for none), then for each (cells,
-    values) pair the text cells followed by the floats at 17 digits.
+    """Write a CSV: the header, then for each (cells, values) pair the
+    text cells followed by the floats at 17 digits.
 
     Text cells are quoted by csv.writer as a whole row would be; the floats
     of a row are formatted by one %-format, never quoted.
@@ -325,8 +320,7 @@ def _write_rows(path, header, rows) -> None:
     cell_writer = csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n")
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         for cells, values in rows:
             values = np.asarray(values, dtype=np.float64).tolist()
             if not values:
@@ -338,13 +332,6 @@ def _write_rows(path, header, rows) -> None:
                 cell_writer.writerow([*cells, ""])
                 line = quoted.pop()[:-1] + line
             fp.write(line + "\n")
-
-
-def _read_one_row(path, fixed, features) -> np.ndarray:
-    rows = list(_read_rows(path, fixed, features))
-    if len(rows) != 1:
-        raise ValueError(f"{path}: expected exactly one row, got {len(rows)}")
-    return rows[0][2]
 
 
 def _read_id_matrix(path, features, what: str, keep=None):
@@ -403,7 +390,10 @@ def write_frame_features(seq: FrameFeatureSequence, path) -> None:
 def load_audio_features(path) -> np.ndarray:
     """Read a single-row audio feature vector; the dimension is whatever
     the file carries (1582 for the usual audio stream, but unconstrained)."""
-    return _read_one_row(path, (), "f")
+    rows = list(_read_rows(path, (), "f"))
+    if len(rows) != 1:
+        raise ValueError(f"{path}: expected exactly one row, got {len(rows)}")
+    return rows[0][2]
 
 
 def write_audio_features(vector, path) -> None:
@@ -449,20 +439,10 @@ def write_scores(scores: ScoreMatrix, path) -> None:
     _write_rows(path, ("id",) + EMOTION_NAMES, rows)
 
 
-def read_weight_row(path) -> np.ndarray:
-    """Read one CSV row of 7 numbers (counts or weights; caller decides)."""
-    return _read_one_row(path, None, EMOTION_NAMES)
-
-
-def parse_weight_row(text: str) -> np.ndarray:
-    """The 7 numbers of a weights row given inline, e.g. "98,40,70,...";
-    checked like a row of a weights file."""
+def parse_counts(text: str) -> np.ndarray:
+    """The 7 class counts given inline, e.g. "98,40,70,..."; each checked
+    as a float cell of a CSV row is."""
     return _row_values(text.split(","), NUM_CLASSES, 0, lambda: repr(text))
-
-
-def write_weights(weights: ClassWeights, path) -> None:
-    """CSV single row of the 7 weights."""
-    _write_rows(path, None, [((), weights.weights)])
 
 
 def read_predictions(path):

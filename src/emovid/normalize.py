@@ -18,6 +18,7 @@ from .core import _frozen_array
 
 # columns whose fitted std falls below this are treated as constant
 DEGENERATE_STD = 1e-12
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 log = logging.getLogger(__name__)
 
@@ -126,9 +127,18 @@ def apply_range_scaler(x, params: RangeScalerParams) -> np.ndarray:
     arr = _as_array(x, (1, 2))
     if arr.shape[-1] != params.dim:
         raise ValueError(f"dimension mismatch: x has {arr.shape[-1]}, params have {params.dim}")
-    span = params.maxs - params.mins
+    mins, maxs = params.mins, params.maxs
+    with np.errstate(over="ignore"):  # an infinite span is a wide one, below
+        span = maxs - mins
+    wide = span > _HALF_MAX  # 2 * (x - min) can pass the float64 maximum
+    if wide.any():
+        # the same map on values divided by 4, exactly: the span of a column
+        # from -1e308 to 1e308 and 2 * (x - min) stay finite
+        quarter = np.where(wide, 0.25, 1.0)
+        arr, mins, maxs = arr * quarter, mins * quarter, maxs * quarter
+        span = maxs - mins
     safe_span = np.where(span > 0, span, 1.0)
-    scaled = 2.0 * (arr - params.mins) / safe_span - 1.0
+    scaled = 2.0 * (arr - mins) / safe_span - 1.0
     scaled = np.where(span > 0, scaled, 0.0)
     return np.clip(scaled, -1.0, 1.0)
 
@@ -143,7 +153,11 @@ def rootsift(x) -> np.ndarray:
     arr = _as_array(x, (1, 2))
     vector_in = arr.ndim == 1
     rows = arr[None, :] if vector_in else arr
-    l1 = np.abs(rows).sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an infinite norm is shrunk below
+        l1 = np.abs(rows).sum(axis=1, keepdims=True)
+    if np.isinf(l1).any():  # the map is scale-invariant: shrink the rows whose L1 norm overflows
+        rows = rows / np.where(np.isinf(l1), np.abs(rows).max(axis=1, keepdims=True), 1.0)
+        l1 = np.abs(rows).sum(axis=1, keepdims=True)
     safe_l1 = np.where(l1 > 0, l1, 1.0)
     out = np.sign(rows) * np.sqrt(np.abs(rows) / safe_l1)
     return out[0] if vector_in else out

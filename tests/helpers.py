@@ -41,8 +41,7 @@ def reference_write_rows(path, header, rows):
 
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         for cells, values in rows:
             writer.writerow([*cells, *(format(float(x), ".17g") for x in values)])
 
@@ -60,19 +59,16 @@ def reference_read_rows(path, fixed, features, unique=False, keep=None):
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fp:
         reader = csv.reader(fp)
-        if fixed is None:
-            width, start = len(features), 0
+        header = tuple(next(reader, ()))
+        if isinstance(features, str):
+            count = max(1, len(header) - len(fixed))
+            expected = fixed + tuple(f"{features}{j}" for j in range(count))
+            shown = fixed + (f"{features}0", "...")
         else:
-            header = tuple(next(reader, ()))
-            if isinstance(features, str):
-                count = max(1, len(header) - len(fixed))
-                expected = fixed + tuple(f"{features}{j}" for j in range(count))
-                shown = fixed + (f"{features}0", "...")
-            else:
-                expected = shown = fixed + features
-            if header != expected:
-                raise ValueError(f"{path}: expected header {','.join(shown)}")
-            width, start = len(header), len(fixed)
+            expected = shown = fixed + features
+        if header != expected:
+            raise ValueError(f"{path}: expected header {','.join(shown)}")
+        width, start = len(header), len(fixed)
         for row in reader:
             if not row:
                 continue

@@ -21,7 +21,6 @@ from emovid.aggregate import (
 from emovid.cli import main
 from emovid.core import FrameFeatureSequence
 from emovid.ensemble import (
-    EnsembleConfig,
     apply_class_weights,
     class_weights_from_counts,
     combine_streams,
@@ -250,7 +249,7 @@ def test_criterion_8_ensembling_and_weighting(tmp_path):
         singles = [
             float((st["val"][0].scores.argmax(axis=1) == truth).mean()) for st in streams
         ]
-        combined = combine_streams([st["val"][0] for st in streams], EnsembleConfig("softmax"))
+        combined = combine_streams([st["val"][0] for st in streams])
         ensemble_acc = float(
             (np.array([int(p) for p in predict(combined)]) == truth).mean()
         )
@@ -266,9 +265,7 @@ def test_criterion_8_ensembling_and_weighting(tmp_path):
             for i in range(3)
         ]
         truth = ambiguous[0]["test"][1]
-        combined = combine_streams(
-            [st["test"][0] for st in ambiguous], EnsembleConfig("softmax")
-        )
+        combined = combine_streams([st["test"][0] for st in ambiguous])
         weights = class_weights_from_counts(TEST_SET_COUNTS)
         weighted = apply_class_weights(combined, weights)
         # exhaustive per-row recomputation of the weighted readout
@@ -326,8 +323,9 @@ def test_criterion_9_round_trip_and_determinism(tmp_path, capsys):
                 ["ensemble", "--scores", str(work / "scores.csv"),
                  "--out", str(work / "combined.csv"),
                  "--predictions", str(work / "pred.csv")],
-                ["weigh", "--counts", "98,40,70,144,193,80,28",
-                 "--out", str(work / "weights.csv")],
+                ["ensemble", "--scores", str(work / "scores.csv"),
+                 "--counts", "98,40,70,144,193,80,28", "--out", str(work / "weighted.csv"),
+                 "--predictions", str(work / "pred_weighted.csv")],
                 ["evaluate", "--predictions", str(work / "pred.csv"),
                  "--manifest", str(work / "ds" / "manifest.jsonl"),
                  "--out", str(work / "report.json")],

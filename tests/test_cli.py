@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from emovid.cli import main, read_descriptors
-from emovid.ensemble import read_predictions, read_scores, read_weight_row
+from emovid.core import FrameFeatureSequence, ScoreMatrix
+from emovid.ensemble import class_weights_from_counts, read_predictions, read_scores, softmax_rows
 from emovid.ingest import (
     ManifestEntry,
     load_manifest,
     write_audio_features,
     write_descriptors,
+    write_frame_features,
     write_manifest,
+    write_scores,
 )
 from emovid.normalize import fit_normalization
 from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict, save_model, train_ovr
@@ -89,7 +92,7 @@ def test_full_scripted_run(synth_dir, capsys, tmp_path):
 
     run_ok(
         capsys, "ensemble", "--scores", str(work / "scores_val.csv"),
-        "--mode", "softmax", "--out", str(work / "combined.csv"),
+        "--out", str(work / "combined.csv"),
         "--predictions", str(work / "pred.csv"),
     )
     out = run_ok(
@@ -124,38 +127,58 @@ def test_single_stream_raw_ensemble_matches_predict(synth_dir, capsys, tmp_path)
            "--out", str(tmp_path / "m.json"))
     run_ok(capsys, "predict", "--model", str(tmp_path / "m.json"), "--descriptors", desc,
            "--manifest", manifest, "--splits", "test", "--out", str(tmp_path / "s.csv"))
-    run_ok(capsys, "ensemble", "--scores", str(tmp_path / "s.csv"), "--mode", "raw",
+    run_ok(capsys, "ensemble", "--scores", str(tmp_path / "s.csv"),
            "--out", str(tmp_path / "c.csv"), "--predictions", str(tmp_path / "p.csv"))
     raw = read_scores(tmp_path / "s.csv")
     combined = read_scores(tmp_path / "c.csv")
-    assert (raw.scores == combined.scores).all()
+    assert combined.scores.tobytes() == softmax_rows(raw.scores).tobytes()
     ids, labels = read_predictions(tmp_path / "p.csv")
     assert ids == raw.video_ids
     assert [int(l) for l in labels] == list(raw.scores.argmax(axis=1))
 
 
 def test_weigh_matches_observed_distribution(capsys, tmp_path):
-    out_path = tmp_path / "w.csv"
-    out = run_ok(capsys, "weigh", "--counts", "98,40,70,144,193,80,28", "--out", str(out_path))
-    row = read_weight_row(out_path)
-    np.testing.assert_array_equal(
-        np.round(row, 2), [0.15, 0.10, 0.13, 0.19, 0.21, 0.14, 0.08]
-    )
-    assert "Neutral   0.21" in out
+    """ensemble --counts, the one way to weigh classes, applies the sqrt
+    prior of the observed counts."""
+    counts = (98, 40, 70, 144, 193, 80, 28)
+    write_scores(ScoreMatrix(("a", "b"), np.zeros((2, 7))), tmp_path / "s.csv")
+    run_ok(capsys, "ensemble", "--scores", str(tmp_path / "s.csv"),
+           "--counts", ",".join(map(str, counts)), "--out", str(tmp_path / "c.csv"))
+    weights = class_weights_from_counts(counts).weights
+    # a uniform row softmaxes to 1/7 in every class, so the output is the weights / 7
+    for row in read_scores(tmp_path / "c.csv").scores:
+        assert row.tobytes() == (np.full(7, 1 / 7) * weights).tobytes()
+    np.testing.assert_array_equal(np.round(weights, 2), [0.15, 0.10, 0.13, 0.19, 0.21, 0.14, 0.08])
+    err = run_fail(capsys, "ensemble", "--scores", str(tmp_path / "s.csv"),
+                   "--counts", "1,1,1", "--out", str(tmp_path / "c.csv"))
+    assert "3 fields, expected 7" in err
 
 
-def test_weigh_flag_selection(capsys, tmp_path):
-    counts_file = tmp_path / "counts.csv"
-    counts_file.write_text("98,40,70,144,193,80,28\n")
-    run_ok(capsys, "weigh", "--counts-file", str(counts_file), "--out", str(tmp_path / "w1.csv"))
-    run_ok(capsys, "weigh", "--weights-file", str(tmp_path / "w1.csv"),
-           "--out", str(tmp_path / "w2.csv"))
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
-    err = run_fail(capsys, "weigh", "--counts", "1,1,1,1,1,1,1",
-                   "--weights", "1,0,0,0,0,0,0", "--out", str(tmp_path / "w3.csv"))
-    assert "only one" in err
-    err = run_fail(capsys, "weigh", "--out", str(tmp_path / "w4.csv"))
-    assert "provide" in err
+REMOVED = {  # argv naming a score mode, a weight source or a command emovid does not have
+    "mode": ["ensemble", "--mode", "raw"],
+    "weights": ["ensemble", "--weights", "1,0,0,0,0,0,0"],
+    "counts-file": ["ensemble", "--counts-file", "counts.csv"],
+    "weights-file": ["ensemble", "--weights-file", "weights.csv"],
+    "weigh": ["weigh", "--counts", "98,40,70,144,193,80,28"],
+}
+
+
+@pytest.mark.parametrize("removed", [*REMOVED, "config-section"])
+def test_the_removed_ensemble_options_are_refused(capsys, tmp_path, removed):
+    write_scores(ScoreMatrix(("a",), np.zeros((1, 7))), tmp_path / "s.csv")
+    scores, out = ["--scores", str(tmp_path / "s.csv")], ["--out", str(tmp_path / "c.csv")]
+    if removed == "config-section":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ensemble": {"score_mode": "softmax"}}))
+        err = run_fail(capsys, "ensemble", *scores, *out, "--config", str(config))
+        assert "unknown config keys: ['ensemble']" in err
+    else:
+        argv = REMOVED[removed]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, *(scores if argv[0] == "ensemble" else []), *out])
+        assert info.value.code == 2  # argparse's usage error
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_cv_single_element_grid(synth_dir, capsys, tmp_path):
@@ -359,21 +382,6 @@ def test_capped_solves_warn_once_and_exit_zero(synth_dir, capsys, tmp_path):
         assert "64;" in lines[0] and "classes Angry," in lines[0]
 
 
-def test_ensemble_raw_mode_rejects_weights(synth_dir, capsys, tmp_path):
-    ds = synth_dir / "ds"
-    manifest = str(ds / "manifest.jsonl")
-    run_ok(capsys, "aggregate", "--manifest", manifest, "--out", str(tmp_path / "d"))
-    desc = str(tmp_path / "d" / "frames.csv")
-    run_ok(capsys, "train", "--descriptors", desc, "--manifest", manifest,
-           "--out", str(tmp_path / "m.json"))
-    run_ok(capsys, "predict", "--model", str(tmp_path / "m.json"), "--descriptors", desc,
-           "--out", str(tmp_path / "s.csv"))
-    err = run_fail(capsys, "ensemble", "--scores", str(tmp_path / "s.csv"),
-                   "--mode", "raw", "--counts", "1,1,1,1,1,1,1",
-                   "--out", str(tmp_path / "c.csv"))
-    assert "softmax" in err
-
-
 def test_predict_without_manifest_scores_all_rows(synth_dir, capsys, tmp_path):
     ds = synth_dir / "ds"
     manifest = str(ds / "manifest.jsonl")
@@ -459,6 +467,25 @@ def test_aggregate_refuses_aggregation_settings_for_a_vector_stream(capsys, tmp_
         assert not (tmp_path / "d" / "audio.csv").exists()
 
 
+@pytest.mark.parametrize("first", ["frames", "audio"])
+def test_aggregate_refuses_a_stream_of_mixed_file_kinds(capsys, tmp_path, first):
+    """A 5 x 1 x 4 frame grid gives a 12-value STAT* descriptor, as wide as
+    the 12-value vector file beside it, so only the file kinds differ."""
+    grid = FrameFeatureSequence("g", np.arange(20.0).reshape(5, 1, 4))
+    write_frame_features(grid, tmp_path / "grid.csv")
+    write_audio_features(np.arange(12.0), tmp_path / "vector.csv")
+    files = ["grid.csv", "vector.csv"] if first == "frames" else ["vector.csv", "grid.csv"]
+    write_manifest([ManifestEntry(f"v{i}", "train", "Sad", {"frames": name})
+                    for i, name in enumerate(files)], tmp_path / "m.jsonl")
+    err = run_fail(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"),
+                   "--out", str(tmp_path / "d"))
+    kinds = ("one vector", "a frame grid") if first == "frames" else ("a frame grid", "one vector")
+    second = str(tmp_path / files[1])
+    assert err == (f"error: video 'v1': stream 'frames': {second!r} holds {kinds[0]}, "
+                   f"but the stream's first file holds {kinds[1]}\n")
+    assert not (tmp_path / "d" / "frames.csv").exists()
+
+
 def model_doc(top=(), config=()):
     doc = model_to_dict(LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig()))
     doc["config"].update(config)
@@ -471,7 +498,6 @@ BAD_DOCUMENTS = [
     ("train", {"streams": {"frames": {"aggregator": ["mean"]}}}, "streams.frames.aggregator"),
     ("train", {"normalization": {"root_sift": False}}, "normalization.root_sift"),
     ("train", {"cv": {"fold": 3}}, "cv.fold"),
-    ("train", {"ensemble": {"mode": "raw"}}, "ensemble.mode"),
     ("train", {"streams": []}, "streams"),
     ("train", {"svm": 3}, "svm"),
     ("train", {"cv": {"grid": 5}}, "cv.grid"),
@@ -556,12 +582,13 @@ def test_constant_column_warns_on_train(capsys, tmp_path):
 
 
 def test_train_rejects_an_unknown_score_mode(capsys, tmp_path):
+    # the config has no ensemble section, so score_mode is an unknown key
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"ensemble": {"score_mode": "bogus"}}))
     absent = str(tmp_path / "absent")
     err = run_fail(capsys, "train", "--descriptors", absent, "--manifest", absent,
                    "--config", str(config), "--out", absent)
-    assert "unknown score_mode 'bogus'" in err
+    assert "unknown config keys: ['ensemble']" in err
 
 
 def write_audio_dataset(feat_dir, manifest_path):

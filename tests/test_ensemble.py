@@ -3,19 +3,16 @@ import pytest
 
 from emovid.core import ClassWeights, EmotionLabel, ScoreMatrix
 from emovid.ensemble import (
-    EnsembleConfig,
     apply_class_weights,
     class_weights_from_counts,
     combine_streams,
     predict,
     read_predictions,
     read_scores,
-    read_weight_row,
     run_ensemble,
     softmax_rows,
     write_predictions,
     write_scores,
-    write_weights,
 )
 
 TEST_SET_COUNTS = (98, 40, 70, 144, 193, 80, 28)
@@ -50,24 +47,26 @@ def scores_of(rows, prefix="v"):
     return ScoreMatrix(tuple(f"{prefix}{i}" for i in range(rows.shape[0])), rows)
 
 
-def test_combine_single_stream_raw_is_identity():
-    stream = scores_of(np.arange(14.0).reshape(2, 7))
-    combined = combine_streams([stream], EnsembleConfig("raw"))
-    np.testing.assert_array_equal(combined.scores, stream.scores)
+def test_combine_single_stream_is_its_softmax():
+    stream = scores_of(np.arange(14.0).reshape(2, 7) - 20)
+    combined = combine_streams([stream])
+    assert combined.scores.tobytes() == softmax_rows(stream.scores).tobytes()
     assert combined.video_ids == stream.video_ids
 
 
-def test_combine_raw_elementwise_mean():
+def test_combine_averages_softmax_rows_elementwise():
     a = scores_of([[1, 0, 0, 0, 0, 0, 0]])
     b = scores_of([[0, 1, 0, 0, 0, 0, 0]])
-    combined = combine_streams([a, b], EnsembleConfig("raw"))
-    np.testing.assert_array_equal(combined.scores, [[0.5, 0.5, 0, 0, 0, 0, 0]])
+    combined = combine_streams([a, b])
+    peak, rest = np.e / (np.e + 6), 1 / (np.e + 6)  # softmax of a one-hot row
+    np.testing.assert_allclose(combined.scores, [[(peak + rest) / 2] * 2 + [rest] * 5],
+                               rtol=0, atol=1e-15)
 
 
 def test_combine_softmax_rows_sum_to_one():
     rng = np.random.default_rng(40)
     streams = [scores_of(rng.standard_normal((5, 7)) * 3) for _ in range(3)]
-    combined = combine_streams(streams, EnsembleConfig("softmax"))
+    combined = combine_streams(streams)
     sums = combined.scores.sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-12
     assert (combined.scores >= 0).all()
@@ -76,8 +75,8 @@ def test_combine_softmax_rows_sum_to_one():
 def test_combine_stream_order_invariance():
     rng = np.random.default_rng(41)
     streams = [scores_of(rng.standard_normal((4, 7))) for _ in range(4)]
-    forward = combine_streams(streams, EnsembleConfig("softmax"))
-    backward = combine_streams(list(reversed(streams)), EnsembleConfig("softmax"))
+    forward = combine_streams(streams)
+    backward = combine_streams(list(reversed(streams)))
     np.testing.assert_allclose(forward.scores, backward.scores, atol=1e-12)
 
 
@@ -157,11 +156,14 @@ def test_predict_matches_naive_scan_oracle():
         assert got[i] == best
 
 
-def test_run_ensemble_raw_with_weights_rejected():
-    weights = class_weights_from_counts([1] * 7)
-    stream = scores_of(np.zeros((1, 7)))
-    with pytest.raises(ValueError, match="softmax"):
-        run_ensemble([stream], EnsembleConfig("raw"), weights)
+def test_run_ensemble_weights_the_softmax_average():
+    rng = np.random.default_rng(47)
+    streams = [scores_of(rng.standard_normal((6, 7)) * 4) for _ in range(2)]
+    weights = class_weights_from_counts(TEST_SET_COUNTS)
+    combined = combine_streams(streams)
+    assert run_ensemble(streams).scores.tobytes() == combined.scores.tobytes()
+    weighted = run_ensemble(streams, weights)
+    assert weighted.scores.tobytes() == (combined.scores * weights.weights).tobytes()
 
 
 def test_score_csv_round_trip(tmp_path):
@@ -176,18 +178,6 @@ def test_score_csv_round_trip(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,a,b\n")
         read_scores(bad)
-
-
-def test_weights_csv_round_trip(tmp_path):
-    weights = class_weights_from_counts(TEST_SET_COUNTS)
-    path = tmp_path / "weights.csv"
-    write_weights(weights, path)
-    row = read_weight_row(path)
-    assert (row == weights.weights).all()
-    with pytest.raises(ValueError, match="exactly one row"):
-        bad = tmp_path / "two.csv"
-        bad.write_text("1,1,1,1,1,1,1\n2,2,2,2,2,2,2\n")
-        read_weight_row(bad)
 
 
 def test_predictions_csv_round_trip(tmp_path):

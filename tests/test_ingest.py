@@ -18,17 +18,15 @@ from emovid import ingest
 from emovid.aggregate import AGGREGATOR_NAMES, AggregationConfig
 from emovid.cli import CvConfig, PipelineConfig
 from emovid.core import EMOTION_NAMES, SPLITS, EmotionLabel, FrameFeatureSequence, ScoreMatrix
-from emovid.ensemble import SCORE_MODES, EnsembleConfig, class_weights_from_counts
 from emovid.ingest import (
     ManifestEntry,
     load_audio_features,
     load_frame_features,
     load_manifest,
-    parse_weight_row,
+    parse_counts,
     read_descriptors,
     read_predictions,
     read_scores,
-    read_weight_row,
     sniff_stream_kind,
     write_audio_features,
     write_descriptors,
@@ -36,7 +34,6 @@ from emovid.ingest import (
     write_manifest,
     write_predictions,
     write_scores,
-    write_weights,
 )
 from emovid.normalize import (
     NormalizationConfig,
@@ -319,7 +316,6 @@ pipeline_configs = st.builds(
     st.dictionaries(st.text(min_size=1, max_size=5), aggregation_configs, min_size=1, max_size=3),
     normalization_configs,
     svm_configs,
-    st.builds(EnsembleConfig, st.sampled_from(SCORE_MODES)),
     st.builds(CvConfig, st.lists(positive, min_size=1, max_size=8).map(tuple), st.integers(2, 10)),
 )
 synth_configs = st.integers(1, 50).flatmap(
@@ -360,7 +356,6 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
     n = len(ids)
     descriptors = data.draw(matrices(st.just(n), st.integers(1, 4)))
     scores = data.draw(matrices(st.just(n), st.just(7)))
-    counts = data.draw(st.lists(st.floats(0, 1e6), min_size=7, max_size=7).filter(any))
     labels = data.draw(st.lists(st.sampled_from(list(EmotionLabel)), min_size=n, max_size=n))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
@@ -380,10 +375,6 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
         write_scores(ScoreMatrix(tuple(ids), scores), path)
         got = read_scores(path)
         assert got.video_ids == tuple(ids) and same_bits(got.scores, scores)
-
-        class_weights = class_weights_from_counts(counts)
-        write_weights(class_weights, path)
-        assert same_bits(read_weight_row(path), class_weights.weights)
 
         write_predictions(ids, labels, path)
         assert read_predictions(path) == (tuple(ids), labels)
@@ -437,7 +428,7 @@ awkward_ids = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "7", "é"
         ),
         max_size=4,
     ),
-    header=st.none() | st.lists(awkward_ids, max_size=4).map(tuple),
+    header=st.lists(awkward_ids, max_size=4).map(tuple),
 )
 def test_row_writer_bytes_equal_reference(rows, header):
     with tempfile.TemporaryDirectory() as tmp:
@@ -459,14 +450,12 @@ def test_every_table_writer_bytes_equal_reference(frames, vector, ids, data):
     descriptors = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 4))),
                                    elements=any_floats))
     scores = data.draw(matrices(st.just(n), st.just(7)))
-    counts = data.draw(st.lists(st.floats(0, 1e6), min_size=7, max_size=7).filter(any))
     labels = data.draw(st.lists(st.sampled_from(list(EmotionLabel)), min_size=n, max_size=n))
     writes = [
         lambda path: write_frame_features(FrameFeatureSequence("v", frames), path),
         lambda path: write_audio_features(vector, path),
         lambda path: write_descriptors(ids, descriptors, path),
         lambda path: write_scores(ScoreMatrix(tuple(ids), scores), path),
-        lambda path: write_weights(class_weights_from_counts(counts), path),
         lambda path: write_predictions(ids, labels, path),
     ]
     with tempfile.TemporaryDirectory() as tmp:
@@ -510,14 +499,14 @@ def check_reader_parity(path, raw_cell):
 @pytest.mark.parametrize("raw_cell", LISTED_CELLS)
 def test_reader_accepts_exactly_what_numpy_parses(tmp_path, raw_cell):
     check_reader_parity(tmp_path / "d.csv", raw_cell)
-    # an inline weights row goes through the same row check, without csv quoting
+    # inline class counts go through the same cell check, without csv quoting
     text = f"{raw_cell},1,1,1,1,1,1"
     error = expected_cell_error(raw_cell)
     if error is None:
-        assert parse_weight_row(text)[0] == np.float64(raw_cell)
+        assert parse_counts(text)[0] == np.float64(raw_cell)
     else:
         with pytest.raises(ValueError) as info:
-            parse_weight_row(text)
+            parse_counts(text)
         assert str(info.value) == f"{text!r}: {error}"
 
 

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,25 @@ def test_apply_range_scaler_examples():
         apply_range_scaler(np.zeros(2), params)
 
 
+def test_range_scaler_columns_wider_than_half_the_float64_maximum():
+    # from -1e308 to 1e308 the span passes the float64 maximum, and from 0 to
+    # 1.5e308 so does 2 * (x - min); both map exactly, with no warning
+    train = np.array([[-1e308, 1.0, 0.0], [1e308, 2.0, 1.5e308], [0.0, 3.0, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = apply_range_scaler(train, fit_range_scaler(train))
+        fit_normalization(train[:, :2])
+    np.testing.assert_allclose(scaled, [[-1, -1, -1], [1, 0, 1], [0, 1, 1 / 3]], rtol=0,
+                               atol=1e-15)
+    # the other columns take the plain affine map, bit for bit
+    rng = np.random.default_rng(12)
+    rows = np.hstack([rng.standard_normal((6, 3)) * 1e3, [[-1e308], [1e308]] * 3])
+    scaler = fit_range_scaler(rows)
+    span = scaler.maxs[:3] - scaler.mins[:3]
+    naive = np.clip(2.0 * (rows[:, :3] - scaler.mins[:3]) / span - 1.0, -1.0, 1.0)
+    assert apply_range_scaler(rows, scaler)[:, :3].tobytes() == naive.tobytes()
+
+
 def test_range_scaler_endpoints_attained_on_train():
     rng = np.random.default_rng(9)
     matrix = rng.standard_normal((20, 6))
@@ -73,6 +93,20 @@ def test_rootsift_examples():
     np.testing.assert_allclose(out, [0.8944271909999159, -0.4472135954999579], rtol=1e-15)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
     np.testing.assert_array_equal(rootsift(np.zeros(4)), np.zeros(4))
+
+
+def test_rootsift_of_a_row_whose_l1_norm_overflows():
+    rows = np.array([[1e308, -1e308, 1.0], [1.0, -2.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = rootsift(rows)
+        rootsift_only = fit_normalization(rows, NormalizationConfig(False, True, False))
+        chain = apply_normalization(rows, rootsift_only)
+    # the map is scale-invariant: the row's value is that of [1, -1, 1e-308]
+    np.testing.assert_allclose(out[0], [0.5 ** 0.5, -(0.5 ** 0.5), 7.0710678118654755e-155],
+                               rtol=1e-12)
+    assert out[1].tobytes() == rootsift(rows[1]).tobytes()
+    assert chain.tobytes() == out.tobytes()
 
 
 def test_rootsift_unit_norm_and_sign_preservation():
