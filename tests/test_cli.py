@@ -539,8 +539,13 @@ BAD_DOCUMENTS = [
 ]
 
 
+# the config has no ensemble section, so train names the whole section as unknown
+ENSEMBLE_SECTION = ("train", {"ensemble": {"mode": "raw"}}, "ensemble")
+
+
 @pytest.mark.parametrize(
-    "command, doc, key", BAD_DOCUMENTS, ids=[f"{c}-{k}" for c, _, k in BAD_DOCUMENTS]
+    "command, doc, key", [*BAD_DOCUMENTS, ENSEMBLE_SECTION],
+    ids=[*(f"{c}-{k}" for c, _, k in BAD_DOCUMENTS), "train-ensemble.mode"],
 )
 def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, key):
     path = tmp_path / "doc.json"
