@@ -1,8 +1,8 @@
 """The whole pipeline on generated data, library-level.
 
-synthesize -> aggregate -> cross-validate C -> train (the model carries
-its fitted normalization) -> score validation videos -> ensemble two
-streams -> evaluate.
+synthesize -> aggregate -> cross-validate C -> train (train_ovr fits the
+normalization chain, and the model carries it) -> score validation
+videos -> ensemble two streams -> evaluate.
 
 Everything downstream of the generator is deterministic in the seeds, so
 rerunning this script reproduces the same report byte for byte.
@@ -20,7 +20,6 @@ from emovid import (
     cross_validate_c,
     decision_scores,
     evaluate,
-    fit_normalization,
     generate_dataset,
     predict,
     render_report,
@@ -59,8 +58,8 @@ def train_stream(seed, work_dir):
     best_c, _ = cross_validate_c(x_train, y_train, grid, folds=5, seed=seed)
     print(f"stream seed={seed}: D={x_train.shape[1]}, best C={best_c:g}")
 
-    params = fit_normalization(x_train)
-    model = train_ovr(x_train, y_train, SvmTrainConfig(C=best_c, seed=seed), params)
+    # the same chain cross_validate_c fit in every fold, now on all of x_train
+    model = train_ovr(x_train, y_train, SvmTrainConfig(C=best_c, seed=seed))
     scores = decision_scores(model, x_val, video_ids=[s.video_id for s in split["val"]])
     return scores, [s.label for s in split["val"]]
 

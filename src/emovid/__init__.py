@@ -48,7 +48,6 @@ from .ingest import (
     load_manifest,
 )
 from .normalize import (
-    NormalizationConfig,
     NormalizationParams,
     RangeScalerParams,
     StandardizerParams,

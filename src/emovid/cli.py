@@ -3,8 +3,10 @@ ensemble, evaluate.
 
 Configs are JSON documents with every field defaulted; flags override
 config values, and all randomness flows from one --seed flag mixed per
-stage. Commands exit nonzero with a single-line diagnostic on stderr;
-warnings logged by the library print as one "warning:" line each.
+stage. The normalization chain is fixed and has no config section: train
+fits it with the SVM (svm.train_ovr), and cv re-fits it in every fold.
+Commands exit nonzero with a single-line diagnostic on stderr; warnings
+logged by the library print as one "warning:" line each.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .ingest import (
     write_predictions,
     write_scores,
 )
-from .normalize import NormalizationConfig, fit_normalization
 from .svm import (
     SvmTrainConfig,
     cross_validate_c,
@@ -70,7 +71,6 @@ class PipelineConfig:
     streams: dict[str, AggregationConfig] = field(
         default_factory=lambda: {"frames": AggregationConfig()}
     )
-    normalization: NormalizationConfig = NormalizationConfig()
     svm: SvmTrainConfig = SvmTrainConfig()
     cv: CvConfig = CvConfig()
 
@@ -196,13 +196,12 @@ def cmd_aggregate(args) -> int:
 
 def cmd_cv(args) -> int:
     config = load_pipeline_config(args.config)
-    folds = args.folds if args.folds is not None else config.cv.folds
     _, X, labels, _ = _descriptors_in_splits(args)
     fold_seed = (
         derive_seed(args.seed, "cv") if args.seed is not None else config.svm.seed
     )
-    best_c, accuracies = cross_validate_c(X, labels, config.cv.grid, cfg=config.svm, folds=folds,
-                                          seed=fold_seed, norm_config=config.normalization)
+    best_c, accuracies = cross_validate_c(X, labels, config.cv.grid, cfg=config.svm,
+                                          folds=config.cv.folds, seed=fold_seed)
     for c_value, acc in zip(config.cv.grid, accuracies):
         print(f"C={c_value:g}  mean_accuracy={acc:.4f}")
     print(f"best C: {best_c:g}")
@@ -211,7 +210,7 @@ def cmd_cv(args) -> int:
             "grid": list(config.cv.grid),
             "mean_accuracies": accuracies,
             "best_c": float(best_c),
-            "folds": int(folds),
+            "folds": config.cv.folds,
         }
         write_json(report, args.out)
     return 0
@@ -225,7 +224,7 @@ def cmd_train(args) -> int:
         svm_cfg = replace(svm_cfg, C=args.c)
     if args.seed is not None:
         svm_cfg = replace(svm_cfg, seed=derive_seed(args.seed, "train"))
-    model = train_ovr(X, labels, svm_cfg, fit_normalization(X, config.normalization))
+    model = train_ovr(X, labels, svm_cfg)
     save_model(model, args.out)
     print(f"trained on {len(ids)} videos ({','.join(splits)}); model -> {args.out}")
     return 0
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--splits", default="train")
-    p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=cmd_cv)

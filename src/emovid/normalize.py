@@ -1,10 +1,11 @@
-"""Three-stage descriptor normalization.
+"""The three-stage descriptor normalization chain, always all three.
 
 Stage 1 rescales each column to [-1, 1] with min/max fit on the training
 split (out-of-range values in other splits are clipped). Stage 2 applies
 rootsift, sign(x) * sqrt(|x| / ||x||_1), over the whole vector. Stage 3
 standardizes each column with mean/std fit on the training rootsift
-output. Columns that are degenerate at fit time map to 0.
+output. Columns that are degenerate at fit time map to 0. Finite
+descriptors map to finite values, whatever their magnitude.
 """
 
 from __future__ import annotations
@@ -72,35 +73,12 @@ class StandardizerParams:
 
 
 @dataclass(frozen=True)
-class NormalizationConfig:
-    """Which stages of the chain are applied. All on by default."""
-
-    range_scale: bool = True
-    rootsift: bool = True
-    standardize: bool = True
-
-
-@dataclass(frozen=True)
 class NormalizationParams:
-    """Fitted chain: the config, and params set exactly when their stage
-    is on. Errors name the keys a model file stores the chain under."""
+    """The fitted chain: the range scaler, rootsift (which has no
+    parameters), then the standardizer."""
 
-    config: NormalizationConfig
-    range_scaler: RangeScalerParams | None = None
-    standardizer: StandardizerParams | None = None
-
-    def __post_init__(self):
-        for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize")):
-            enabled, params = getattr(self.config, flag), getattr(self, key)
-            stage = f"config.normalization.{flag}"
-            if params is None and enabled:
-                raise ValueError(f"model key {key!r}: null, but {stage} is true")
-            if params is not None and not enabled:
-                raise ValueError(f"model key {stage!r}: false, but {key!r} is set")
-
-
-# every stage off: apply_normalization returns its input
-IDENTITY_NORMALIZATION = NormalizationParams(NormalizationConfig(False, False, False))
+    range_scaler: RangeScalerParams
+    standardizer: StandardizerParams
 
 
 def _as_array(x, ndims) -> np.ndarray:
@@ -138,7 +116,8 @@ def apply_range_scaler(x, params: RangeScalerParams) -> np.ndarray:
         arr, mins, maxs = arr * quarter, mins * quarter, maxs * quarter
         span = maxs - mins
     safe_span = np.where(span > 0, span, 1.0)
-    scaled = 2.0 * (arr - mins) / safe_span - 1.0
+    with np.errstate(over="ignore"):  # far outside a narrow column: +-inf, clipped to +-1
+        scaled = 2.0 * (arr - mins) / safe_span - 1.0
     scaled = np.where(span > 0, scaled, 0.0)
     return np.clip(scaled, -1.0, 1.0)
 
@@ -182,38 +161,23 @@ def apply_standardizer(x, params: StandardizerParams) -> np.ndarray:
     return np.where(degenerate, 0.0, out)
 
 
-def fit_normalization(train, config: NormalizationConfig = NormalizationConfig()) -> NormalizationParams:
-    """Fit the enabled stages on the training set only.
+def fit_normalization(train) -> NormalizationParams:
+    """Fit the chain on the training set only.
 
     The standardizer is fit on the training data after range scaling and
     rootsift, i.e. on what it will actually see at apply time. Columns
     whose fitted std is below DEGENERATE_STD are logged as one warning.
     """
-    matrix = _as_array(train, (2,))
-    range_scaler = None
-    if config.range_scale:
-        range_scaler = fit_range_scaler(matrix)
-        matrix = apply_range_scaler(matrix, range_scaler)
-    if config.rootsift:
-        matrix = rootsift(matrix)
-    standardizer = None
-    if config.standardize:
-        standardizer = fit_standardizer(matrix)
-        degenerate = int((standardizer.stds < DEGENERATE_STD).sum())
-        if degenerate:
-            log.warning("%d of %d columns have a fitted std below %g and standardize to 0",
-                        degenerate, standardizer.dim, DEGENERATE_STD)
-    return NormalizationParams(config, range_scaler, standardizer)
+    range_scaler = fit_range_scaler(train)
+    standardizer = fit_standardizer(rootsift(apply_range_scaler(train, range_scaler)))
+    degenerate = int((standardizer.stds < DEGENERATE_STD).sum())
+    if degenerate:
+        log.warning("%d of %d columns have a fitted std below %g and standardize to 0",
+                    degenerate, standardizer.dim, DEGENERATE_STD)
+    return NormalizationParams(range_scaler, standardizer)
 
 
 def apply_normalization(x, params: NormalizationParams) -> np.ndarray:
     """Apply the fitted chain to a vector or matrix of descriptors."""
-    arr = _as_array(x, (1, 2))
-    if params.config.range_scale:
-        arr = apply_range_scaler(arr, params.range_scaler)
-    if params.config.rootsift:
-        arr = rootsift(arr)
-    if params.config.standardize:
-        arr = apply_standardizer(arr, params.standardizer)
-    return arr
-
+    scaled = apply_range_scaler(x, params.range_scaler)
+    return apply_standardizer(rootsift(scaled), params.standardizer)

@@ -14,23 +14,22 @@ exact single-variable minimizer clipped to the box, so the dual objective
 never decreases. Multiclass is one-vs-rest; model selection is
 stratified k-fold cross-validation over a grid of C values with the
 normalization chain re-fit inside every fold, each fold's whole grid
-solved at once in Gram space (_cv_solve).
-Every solver row, in training, CV and prediction, comes from
-_design_matrix: the fitted chain, one finiteness check, the bias column.
+solved at once in Gram space (_cv_solve). train_ovr fits the chain on
+the rows it trains on, as each fold does, and the model carries it. Raw
+rows are checked once (_finite_rows); train_binary solves rows as given.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+import reprlib
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import EMOTION_NAMES, NUM_CLASSES, ScoreMatrix, class_indices
 from .normalize import (
-    IDENTITY_NORMALIZATION,
-    NormalizationConfig,
     NormalizationParams,
     RangeScalerParams,
     StandardizerParams,
@@ -40,7 +39,7 @@ from .normalize import (
 from .ingest import read_json, write_json
 from .util import config_from_dict, config_to_dict
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # coordinate updates below this projected-gradient magnitude are skipped
 _UPDATE_EPS = 1e-12
@@ -82,7 +81,7 @@ class LinearSvmModel:
 
     weights: np.ndarray  # (7, D) or (7, D+1) with bias
     config: SvmTrainConfig
-    normalization: NormalizationParams = IDENTITY_NORMALIZATION
+    normalization: NormalizationParams
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=np.float64)
@@ -93,7 +92,7 @@ class LinearSvmModel:
         width = arr.shape[1] - self.config.bias
         for key, params in (("range_scaler.mins", self.normalization.range_scaler),
                             ("standardizer.means", self.normalization.standardizer)):
-            if params is not None and params.dim != width:
+            if params.dim != width:
                 raise ValueError(f"model key {key!r}: {params.dim} columns, "
                                  f"but the weights have {width} features")
         arr.setflags(write=False)
@@ -119,17 +118,18 @@ def dual_objective(alpha: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     return float(alpha.sum()) - 0.5 * float(w @ w)
 
 
-def _design_matrix(X, normalization: NormalizationParams, bias: bool) -> np.ndarray:
-    """C-contiguous solver rows for raw descriptors X: the fitted chain (not
-    applied when every stage is off), one check that every value is
-    finite, then the constant-1 column when bias is on."""
+def _finite_rows(X) -> np.ndarray:
+    """X as a 2-D float64 array, checked to hold only finite values."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got ndim={X.ndim}")
-    if normalization != IDENTITY_NORMALIZATION:
-        X = apply_normalization(X, normalization)
     if not np.isfinite(X).all():
         raise ValueError("non-finite value in X")
+    return X
+
+
+def _design_matrix(X, bias: bool) -> np.ndarray:
+    """C-contiguous solver rows: X, then the constant-1 column when bias is on."""
     return add_bias_column(X) if bias else np.ascontiguousarray(X)
 
 
@@ -178,7 +178,7 @@ def train_binary(
 
     Both classes need not be present; an all-one-class problem is legal.
     """
-    X = _design_matrix(X, IDENTITY_NORMALIZATION, cfg.bias)
+    X = _design_matrix(_finite_rows(X), cfg.bias)
     y = _validate_binary_inputs(X, y)
     n = X.shape[0]
     C = float(cfg.C)
@@ -269,25 +269,22 @@ def train_binary(
     return w
 
 
-def train_ovr(
-    X: np.ndarray,
-    labels,
-    cfg: SvmTrainConfig,
-    normalization: NormalizationParams = IDENTITY_NORMALIZATION,
-):
-    """Train 7 independent class-vs-rest problems with identical config on
-    raw descriptors X through the fitted chain, which the model carries.
+def train_ovr(X: np.ndarray, labels, cfg: SvmTrainConfig):
+    """Fit the normalization chain on raw descriptors X, then train 7
+    independent class-vs-rest problems with identical config on its output.
 
     Each class gets a fresh generator seeded with cfg.seed + class index,
     so row c of the weights equals train_binary(apply_normalization(X,
-    normalization), y_c, cfg with seed cfg.seed + c). Returns the model;
-    solves stopped at cfg.max_epochs are logged as one warning.
+    model.normalization), y_c, cfg with seed cfg.seed + c). Returns the
+    model; solves stopped at cfg.max_epochs are logged as one warning.
     """
-    # built once; each class's train_binary call only re-checks these rows
-    X = _design_matrix(X, normalization, cfg.bias)
+    X = _finite_rows(X)
     label_idx = class_indices(labels)
     if X.shape[0] != label_idx.size:
         raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
+    normalization = fit_normalization(X)
+    # built once; each class's train_binary call only re-checks these rows
+    X = _design_matrix(apply_normalization(X, normalization), cfg.bias)
     weight_rows = []
     solves = []
     for c in range(NUM_CLASSES):
@@ -319,16 +316,14 @@ def _warn_capped(cfg: SvmTrainConfig, solves) -> None:
 def decision_scores(model: LinearSvmModel, X: np.ndarray, video_ids=None) -> ScoreMatrix:
     """Decision values w_c . x_i for every (video, class) pair, x_i being
     raw descriptor row i after the model's normalization chain."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got ndim={X.ndim}")
+    X = _finite_rows(X)
     width = X.shape[1] + model.config.bias
     if width != model.weights.shape[1]:
         raise ValueError(
             f"dimension mismatch: inputs have {width} features "
             f"(bias included), model expects {model.weights.shape[1]}"
         )
-    X = _design_matrix(X, model.normalization, model.config.bias)
+    X = _design_matrix(apply_normalization(X, model.normalization), model.config.bias)
     if video_ids is None:
         video_ids = tuple(str(i) for i in range(X.shape[0]))
     return ScoreMatrix(tuple(video_ids), X @ model.weights.T)
@@ -417,7 +412,6 @@ def cross_validate_c(
     cfg: SvmTrainConfig = SvmTrainConfig(),
     folds: int = 5,
     seed: int = 0,
-    norm_config: NormalizationConfig = NormalizationConfig(),
 ):
     """Pick the regularization constant by stratified k-fold CV.
 
@@ -431,7 +425,7 @@ def cross_validate_c(
     grid = [replace(cfg, C=float(c)).C for c in grid]  # each C checked by SvmTrainConfig
     if not grid:
         raise ValueError("empty C grid")
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite_rows(X)
     label_idx = class_indices(labels)
     if X.shape[0] != label_idx.size:
         raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
@@ -441,7 +435,7 @@ def cross_validate_c(
     solves = []
     for k in range(folds):
         train = fold_of != k
-        rows = _design_matrix(X, fit_normalization(X[train], norm_config), cfg.bias)
+        rows = _design_matrix(apply_normalization(X, fit_normalization(X[train])), cfg.bias)
         weights, _, converged = _cv_solve(rows[train], label_idx[train], grid, cfg)
         scores = (rows[~train] @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
         fold_accs.append((scores.argmax(axis=2) == label_idx[~train, None]).mean(axis=0))
@@ -455,44 +449,53 @@ def cross_validate_c(
 
 
 @dataclass(frozen=True)
-class _StoredConfig(SvmTrainConfig):
-    """A model file's "config" object: the solver config and the stages."""
-
-    normalization: NormalizationConfig = NormalizationConfig()
-
-
-@dataclass(frozen=True)
 class _StoredModel:
     """A model file's JSON object, key for key; every key is required."""
 
     format_version: int
-    config: _StoredConfig
-    range_scaler: RangeScalerParams | None
-    standardizer: StandardizerParams | None
+    config: SvmTrainConfig
+    range_scaler: RangeScalerParams
+    standardizer: StandardizerParams
     weights: tuple[np.ndarray, ...]  # written from the (7, D) array
     label_order: tuple[str, ...]
 
 
+def _format_1_as_2(doc: dict) -> dict:
+    """A format-1 model document with the keys of format 2: its config drops
+    the stage toggles, which must all be true (train's default) to load."""
+    config = doc.get("config")
+    if isinstance(config, dict):
+        stages = config.get("normalization")
+        for stage in ("range_scale", "rootsift", "standardize"):
+            on = stages.get(stage) if isinstance(stages, dict) else stages
+            if on is not True:
+                raise ValueError(f"model key 'config.normalization.{stage}': {reprlib.repr(on)}; "
+                                 "a format-1 model loads only with every stage true")
+        config = {key: value for key, value in config.items() if key != "normalization"}
+    return {**doc, "config": config}
+
+
 def model_to_dict(model: LinearSvmModel) -> dict:
     norm = model.normalization
-    stored_config = _StoredConfig(**vars(model.config), normalization=norm.config)
-    return config_to_dict(_StoredModel(MODEL_FORMAT_VERSION, stored_config, norm.range_scaler,
+    return config_to_dict(_StoredModel(MODEL_FORMAT_VERSION, model.config, norm.range_scaler,
                                        norm.standardizer, model.weights, EMOTION_NAMES))
 
 
 def model_from_dict(doc: dict) -> LinearSvmModel:
+    """The model of a format-2 document, or of a format-1 one whose
+    normalization stages are all on."""
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if version == 1:
+        doc = _format_1_as_2(doc)
+    elif version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version: {version!r}")
     stored = config_from_dict(_StoredModel, doc, "model")
     if stored.label_order != EMOTION_NAMES:
         raise ValueError(f"unexpected label order: {doc['label_order']!r}")
     if len({row.size for row in stored.weights}) > 1:
         raise ValueError("model key 'weights': rows of unequal length")
-    cfg = stored.config
-    solver = SvmTrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(SvmTrainConfig)})
-    normalization = NormalizationParams(cfg.normalization, stored.range_scaler, stored.standardizer)
-    return LinearSvmModel(stored.weights, solver, normalization)
+    normalization = NormalizationParams(stored.range_scaler, stored.standardizer)
+    return LinearSvmModel(stored.weights, stored.config, normalization)
 
 
 def save_model(model: LinearSvmModel, path) -> None:

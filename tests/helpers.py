@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from emovid.normalize import fit_normalization
+
 
 def margin_suite(n=200, d=10, seed=42, margin_low=1.0, margin_high=3.0):
     """Binary sample with margin >= margin_low around a known hyperplane.
@@ -32,6 +34,12 @@ def cluster_labels_matrix(n_per_class, d, separation, sigma, seed):
         rows.append(centroids[c] + sigma * rng.standard_normal((n_per_class, d)))
         labels.extend([c] * n_per_class)
     return np.vstack(rows), labels
+
+
+def fitted_chain(d, seed=0):
+    """A normalization chain fitted on 8 standard-normal rows of width d,
+    for models whose weights a test builds by hand."""
+    return fit_normalization(np.random.default_rng(seed).standard_normal((8, d)))
 
 
 def reference_write_rows(path, header, rows):

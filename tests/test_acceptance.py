@@ -27,7 +27,7 @@ from emovid.ensemble import (
     predict,
 )
 from emovid.ingest import load_frame_features, load_manifest
-from emovid.normalize import apply_normalization, fit_normalization, rootsift
+from emovid.normalize import rootsift
 from emovid.svm import (
     SvmTrainConfig,
     add_bias_column,
@@ -177,11 +177,8 @@ def _run_pipeline(tmp_dir, seed):
     best_c, _ = cross_validate_c(
         x_train, y_train, grid, cfg=SvmTrainConfig(seed=7), folds=5, seed=13
     )
-    params = fit_normalization(x_train)
-    model = train_ovr(
-        apply_normalization(x_train, params), y_train, SvmTrainConfig(C=best_c, seed=7)
-    )
-    scores = decision_scores(model, apply_normalization(x_val, params))
+    model = train_ovr(x_train, y_train, SvmTrainConfig(C=best_c, seed=7))
+    scores = decision_scores(model, x_val)
     accuracy = float((scores.scores.argmax(axis=1) == y_val).mean())
     return scores.scores, accuracy
 
@@ -215,11 +212,8 @@ def _stream_scores(tmp_dir, seed, counts, separation, sigma):
         [build_video_descriptor(s.streams["frames"], STAT_STAR).features
          for s in by_split["train"]]
     )
-    params = fit_normalization(x_train)
     model = train_ovr(
-        apply_normalization(x_train, params),
-        [s.label for s in by_split["train"]],
-        SvmTrainConfig(C=1.0, seed=seed),
+        x_train, [s.label for s in by_split["train"]], SvmTrainConfig(C=1.0, seed=seed)
     )
     out = {}
     for split in ("val", "test"):
@@ -229,10 +223,7 @@ def _stream_scores(tmp_dir, seed, counts, separation, sigma):
             [build_video_descriptor(s.streams["frames"], STAT_STAR).features
              for s in by_split[split]]
         )
-        scores = decision_scores(
-            model, apply_normalization(x, params),
-            video_ids=[s.video_id for s in by_split[split]],
-        )
+        scores = decision_scores(model, x, video_ids=[s.video_id for s in by_split[split]])
         out[split] = (scores, np.array([int(s.label) for s in by_split[split]]))
     return out
 

@@ -1,9 +1,11 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import fitted_chain
 
 from emovid.cli import main, read_descriptors
 from emovid.core import FrameFeatureSequence, ScoreMatrix
@@ -17,8 +19,15 @@ from emovid.ingest import (
     write_manifest,
     write_scores,
 )
-from emovid.normalize import fit_normalization
-from emovid.svm import LinearSvmModel, SvmTrainConfig, model_to_dict, save_model, train_ovr
+from emovid.svm import (
+    LinearSvmModel,
+    SvmTrainConfig,
+    decision_scores,
+    load_model,
+    model_to_dict,
+    save_model,
+    train_ovr,
+)
 
 
 def run_ok(capsys, *argv):
@@ -200,11 +209,16 @@ def test_cv_rejects_single_fold(synth_dir, capsys, tmp_path):
     ds = synth_dir / "ds"
     manifest = str(ds / "manifest.jsonl")
     run_ok(capsys, "aggregate", "--manifest", manifest, "--out", str(tmp_path / "d"))
-    err = run_fail(
-        capsys, "cv", "--descriptors", str(tmp_path / "d" / "frames.csv"),
-        "--manifest", manifest, "--folds", "1",
-    )
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"cv": {"folds": 1}}))
+    cv = ["cv", "--descriptors", str(tmp_path / "d" / "frames.csv"), "--manifest", manifest]
+    err = run_fail(capsys, *cv, "--config", str(config))
     assert "folds must be >= 2" in err
+    # the fold count is the config's cv.folds; there is no flag for it
+    with pytest.raises(SystemExit) as info:
+        main([*cv, "--folds", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --folds 3" in capsys.readouterr().err
 
 
 def test_aggregate_empty_manifest(capsys, tmp_path):
@@ -487,7 +501,8 @@ def test_aggregate_refuses_a_stream_of_mixed_file_kinds(capsys, tmp_path, first)
 
 
 def model_doc(top=(), config=()):
-    doc = model_to_dict(LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig()))
+    """A format-2 model document for 2 features, with keys replaced."""
+    doc = model_to_dict(LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig(), fitted_chain(2)))
     doc["config"].update(config)
     doc.update(top)
     return doc
@@ -496,7 +511,6 @@ def model_doc(top=(), config=()):
 BAD_DOCUMENTS = [
     ("train", {"svm": {"C": 4, "tolerence": 1e-9}}, "svm.tolerence"),
     ("train", {"streams": {"frames": {"aggregator": ["mean"]}}}, "streams.frames.aggregator"),
-    ("train", {"normalization": {"root_sift": False}}, "normalization.root_sift"),
     ("train", {"cv": {"fold": 3}}, "cv.fold"),
     ("train", {"streams": []}, "streams"),
     ("train", {"svm": 3}, "svm"),
@@ -515,19 +529,21 @@ BAD_DOCUMENTS = [
     ("predict", model_doc(top={"standardizer": {"means": [0.0, 0.0]}}), "standardizer.stds"),
     ("predict", model_doc(top={"range_scaler": {"mins": [0.0, True], "maxs": [1.0, 1.0]}}),
      "range_scaler.mins"),
-    ("predict", model_doc(config={"normalization": 3}), "config.normalization"),
-    ("predict", model_doc(config={"normalization": {}}), "range_scaler"),
+    # format 2 has no normalization object and needs both fitted stages
+    ("predict", model_doc(config={"normalization": {"range_scale": True, "rootsift": True,
+                                                    "standardize": True}}),
+     "config.normalization"),
+    ("predict", model_doc(top={"range_scaler": None}), "range_scaler"),
     ("predict", model_doc(top={"weights": "abc"}), "weights"),
     ("predict", model_doc(top={"weights": [[0.0] * 3] * 6 + [[0.0] * 2]}), "weights"),
-    # parameters for a disabled stage, and parameters of the wrong width (weights: 2 + bias)
-    ("predict", model_doc(top={"standardizer": {"means": [0.0, 0.0], "stds": [1.0, 1.0]}},
-                          config={"normalization": {"range_scale": False, "standardize": False}}),
+    # format 1 with a stage off, and parameters of the wrong width (weights: 2 + bias)
+    ("predict", model_doc(top={"format_version": 1, "standardizer": None},
+                          config={"normalization": {"range_scale": True, "rootsift": True,
+                                                    "standardize": False}}),
      "config.normalization.standardize"),
-    ("predict", model_doc(top={"range_scaler": {"mins": [0.0], "maxs": [1.0]}},
-                          config={"normalization": {"range_scale": True, "standardize": False}}),
+    ("predict", model_doc(top={"range_scaler": {"mins": [0.0], "maxs": [1.0]}}),
      "range_scaler.mins"),
-    ("predict", model_doc(top={"standardizer": {"means": [0.0] * 3, "stds": [1.0] * 3}},
-                          config={"normalization": {"range_scale": False, "standardize": True}}),
+    ("predict", model_doc(top={"standardizer": {"means": [0.0] * 3, "stds": [1.0] * 3}}),
      "standardizer.means"),
     # numbers beyond float64: a literal that parses to inf is refused by the
     # JSON reader, which names the literal; an integer, by the key's decoder
@@ -539,13 +555,18 @@ BAD_DOCUMENTS = [
 ]
 
 
-# the config has no ensemble section, so train names the whole section as unknown
-ENSEMBLE_SECTION = ("train", {"ensemble": {"mode": "raw"}}, "ensemble")
+# the config has no ensemble or normalization section, so train names the
+# whole section as unknown
+REMOVED_SECTIONS = {
+    "train-ensemble.mode": ("train", {"ensemble": {"mode": "raw"}}, "ensemble"),
+    "train-normalization.root_sift": ("train", {"normalization": {"root_sift": False}},
+                                      "normalization"),
+}
 
 
 @pytest.mark.parametrize(
-    "command, doc, key", [*BAD_DOCUMENTS, ENSEMBLE_SECTION],
-    ids=[*(f"{c}-{k}" for c, _, k in BAD_DOCUMENTS), "train-ensemble.mode"],
+    "command, doc, key", [*BAD_DOCUMENTS, *REMOVED_SECTIONS.values()],
+    ids=[*(f"{c}-{k}" for c, _, k in BAD_DOCUMENTS), *REMOVED_SECTIONS],
 )
 def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, key):
     path = tmp_path / "doc.json"
@@ -668,7 +689,8 @@ def test_a_bad_cell_fails_only_the_commands_that_read_its_row(capsys, tmp_path):
 
 
 def test_a_cell_over_the_csv_field_limit_is_one_error_line(capsys, tmp_path):
-    save_model(LinearSvmModel(np.zeros((7, 2)), SvmTrainConfig()), tmp_path / "model.json")
+    save_model(LinearSvmModel(np.zeros((7, 2)), SvmTrainConfig(), fitted_chain(1)),
+               tmp_path / "model.json")
     desc = tmp_path / "d.csv"
     desc.write_text('id,x0\n"' + "a" * 140000 + '",1\n')
     err = run_fail(capsys, "predict", "--model", str(tmp_path / "model.json"),
@@ -678,10 +700,32 @@ def test_a_cell_over_the_csv_field_limit_is_one_error_line(capsys, tmp_path):
 
 def test_predict_names_the_model_width_for_a_wrong_width_file(capsys, tmp_path):
     X = np.random.default_rng(1).standard_normal((7, 6))
-    save_model(train_ovr(X, range(7), SvmTrainConfig(), fit_normalization(X)),
-               tmp_path / "model.json")
+    save_model(train_ovr(X, range(7), SvmTrainConfig()), tmp_path / "model.json")
     wide = np.hstack([X, X[:, :1]])
     write_descriptors([f"v{i}" for i in range(7)], wide, tmp_path / "d.csv")
     err = run_fail(capsys, "predict", "--model", str(tmp_path / "model.json"),
                    "--descriptors", str(tmp_path / "d.csv"), "--out", str(tmp_path / "s.csv"))
     assert "inputs have 8 features (bias included), model expects 7" in err
+
+
+def test_predict_far_outside_the_fitted_range_prints_no_numpy_warning(capsys, tmp_path):
+    """A finite value far outside a narrow column's fitted range overflows
+    the range scaler's affine map to +-inf, which the clip maps to +-1."""
+    X = np.random.default_rng(3).standard_normal((21, 4))
+    save_model(train_ovr(X, [k % 7 for k in range(21)], SvmTrainConfig()),
+               tmp_path / "model.json")
+    far = np.array([[1.7e308, -1.7e308, 0.0, 1.0]])
+    write_descriptors(["far"], far, tmp_path / "d.csv")
+    with warnings.catch_warnings(record=True) as caught:  # outside pytest, printed to stderr
+        warnings.simplefilter("always")
+        code = main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--descriptors", str(tmp_path / "d.csv"), "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert [str(w.message) for w in caught] == []
+    model = load_model(tmp_path / "model.json")
+    clipped = np.where(far > 0, model.normalization.range_scaler.maxs,
+                       model.normalization.range_scaler.mins)
+    clipped[0, 2:] = far[0, 2:]  # inside the range: unchanged
+    want = decision_scores(model, clipped).scores
+    assert read_scores(tmp_path / "s.csv").scores.tobytes() == want.tobytes()

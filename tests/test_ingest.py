@@ -35,12 +35,7 @@ from emovid.ingest import (
     write_predictions,
     write_scores,
 )
-from emovid.normalize import (
-    NormalizationConfig,
-    NormalizationParams,
-    RangeScalerParams,
-    StandardizerParams,
-)
+from emovid.normalize import NormalizationParams, RangeScalerParams, StandardizerParams
 from emovid.svm import LinearSvmModel, SvmTrainConfig, load_model, save_model
 from emovid.synth import SynthConfig
 from emovid.util import config_from_dict, config_to_dict
@@ -306,7 +301,6 @@ aggregation_configs = st.builds(
     AggregationConfig,
     st.lists(st.sampled_from(AGGREGATOR_NAMES), min_size=1, unique=True).map(tuple),
 )
-normalization_configs = st.builds(NormalizationConfig, st.booleans(), st.booleans(), st.booleans())
 svm_configs = st.builds(
     SvmTrainConfig, positive, positive, st.integers(1, 10**6), st.integers(0, 2**63 - 1),
     st.booleans(),
@@ -314,7 +308,6 @@ svm_configs = st.builds(
 pipeline_configs = st.builds(
     PipelineConfig,
     st.dictionaries(st.text(min_size=1, max_size=5), aggregation_configs, min_size=1, max_size=3),
-    normalization_configs,
     svm_configs,
     st.builds(CvConfig, st.lists(positive, min_size=1, max_size=8).map(tuple), st.integers(2, 10)),
 )
@@ -347,7 +340,7 @@ synth_configs = st.integers(1, 50).flatmap(
     vector=matrices(st.integers(1, 5)),
     ids=video_ids,
     data=st.data(),
-    configs=st.tuples(pipeline_configs, svm_configs, normalization_configs, synth_configs),
+    configs=st.tuples(pipeline_configs, svm_configs, synth_configs),
 )
 def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, configs):
     def same_bits(a, b):
@@ -379,25 +372,23 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
         write_predictions(ids, labels, path)
         assert read_predictions(path) == (tuple(ids), labels)
 
-        svm_config, norm_config = configs[1], configs[2]
+        svm_config = configs[1]
         dim = data.draw(st.integers(1, 4))
         params = data.draw(arrays(np.float64, (4, dim), elements=model_floats))
         weights = data.draw(arrays(np.float64, (7, dim + svm_config.bias), elements=model_floats))
         model = LinearSvmModel(weights, svm_config, NormalizationParams(
-            norm_config,
-            RangeScalerParams(params[:2].min(axis=0), params[:2].max(axis=0))
-            if norm_config.range_scale else None,
-            StandardizerParams(params[2], np.abs(params[3])) if norm_config.standardize else None,
+            RangeScalerParams(params[:2].min(axis=0), params[:2].max(axis=0)),
+            StandardizerParams(params[2], np.abs(params[3])),
         ))
         saved, resaved = Path(tmp) / "model.json", Path(tmp) / "again.json"
         save_model(model, saved)
         loaded, norm = load_model(saved), model.normalization
-        assert (loaded.config, loaded.normalization.config) == (svm_config, norm_config)
+        assert loaded.config == svm_config
         assert same_bits(loaded.weights, model.weights)
-        for name in ("mins", "maxs") if norm_config.range_scale else ():
+        for name in ("mins", "maxs"):
             assert same_bits(getattr(loaded.normalization.range_scaler, name),
                              getattr(norm.range_scaler, name))
-        for name in ("means", "stds") if norm_config.standardize else ():
+        for name in ("means", "stds"):
             assert same_bits(getattr(loaded.normalization.standardizer, name),
                              getattr(norm.standardizer, name))
         save_model(loaded, resaved)

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emovid.normalize import (
-    IDENTITY_NORMALIZATION,
-    NormalizationConfig,
-    NormalizationParams,
     apply_normalization,
     apply_range_scaler,
     apply_standardizer,
@@ -20,6 +17,7 @@ from emovid.normalize import (
     fit_standardizer,
     rootsift,
 )
+from emovid.svm import LinearSvmModel, SvmTrainConfig, model_from_dict, model_to_dict
 
 
 def test_fit_range_scaler_examples():
@@ -100,13 +98,10 @@ def test_rootsift_of_a_row_whose_l1_norm_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = rootsift(rows)
-        rootsift_only = fit_normalization(rows, NormalizationConfig(False, True, False))
-        chain = apply_normalization(rows, rootsift_only)
     # the map is scale-invariant: the row's value is that of [1, -1, 1e-308]
     np.testing.assert_allclose(out[0], [0.5 ** 0.5, -(0.5 ** 0.5), 7.0710678118654755e-155],
                                rtol=1e-12)
     assert out[1].tobytes() == rootsift(rows[1]).tobytes()
-    assert chain.tobytes() == out.tobytes()
 
 
 def test_rootsift_unit_norm_and_sign_preservation():
@@ -171,12 +166,18 @@ def test_normalize_pipeline_train_equals_others():
 
 
 def test_normalize_pipeline_rootsift_stage_unit_norm():
+    """The standardizer is fit on the rootsift stage's output: rows of unit
+    norm, whose columns it then centres and scales."""
     rng = np.random.default_rng(21)
     matrix = rng.standard_normal((15, 6))
-    params = fit_normalization(matrix, NormalizationConfig(standardize=False))
+    params = fit_normalization(matrix)
+    stage_2 = rootsift(apply_range_scaler(matrix, params.range_scaler))
+    np.testing.assert_allclose(np.linalg.norm(stage_2, axis=1), np.ones(15), atol=1e-9)
+    refit = fit_standardizer(stage_2)
+    assert params.standardizer.means.tobytes() == refit.means.tobytes()
+    assert params.standardizer.stds.tobytes() == refit.stds.tobytes()
     out = apply_normalization(matrix, params)
-    norms = np.linalg.norm(out, axis=1)
-    np.testing.assert_allclose(norms, np.ones(15), atol=1e-9)
+    assert out.tobytes() == apply_standardizer(stage_2, params.standardizer).tobytes()
 
 
 def test_normalize_pipeline_single_train_video_maps_to_zero():
@@ -200,39 +201,58 @@ def test_normalize_pipeline_deterministic():
     assert (a_train == b_train).all() and (a_others == b_others).all()
 
 
-def test_normalization_toggles():
-    rng = np.random.default_rng(14)
-    matrix = rng.standard_normal((6, 3))
-    params = fit_normalization(matrix, NormalizationConfig(False, False, False))
-    np.testing.assert_array_equal(apply_normalization(matrix, params), matrix)
-    assert params.range_scaler is None and params.standardizer is None
-
-
 @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
 def test_stage_params_are_set_exactly_when_the_stage_is_on(flags):
-    config = NormalizationConfig(*flags)
+    """A format-1 model stored its stages' on/off flags, and the parameters
+    of a stage exactly when it was on. The chain is always all three
+    stages, so such a file loads only when every flag is true; otherwise
+    one error names the first stage that is off."""
     matrix = np.random.default_rng(9).standard_normal((5, 3))
-    fitted = fit_normalization(matrix, config)
-    NormalizationParams(config, fitted.range_scaler, fitted.standardizer)
-    full = fit_normalization(matrix)
+    fitted = fit_normalization(matrix)
+    doc = model_to_dict(LinearSvmModel(np.zeros((7, 4)), SvmTrainConfig(), fitted))
+    stages = dict(zip(("range_scale", "rootsift", "standardize"), flags))
+    doc["format_version"] = 1
+    doc["config"]["normalization"] = stages
     for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize")):
-        scalers = {"range_scaler": fitted.range_scaler, "standardizer": fitted.standardizer}
-        if getattr(config, flag):
-            scalers[key] = None
-            message = f"'{key}': null, but config.normalization.{flag} is true"
-        else:
-            scalers[key] = getattr(full, key)
-            message = f"'config.normalization.{flag}': false, but '{key}' is set"
-        with pytest.raises(ValueError, match=message):
-            NormalizationParams(config, **scalers)
+        if not stages[flag]:
+            doc[key] = None
+    if all(flags):
+        loaded = model_from_dict(doc).normalization
+        for want, got in ((fitted.range_scaler, loaded.range_scaler),
+                          (fitted.standardizer, loaded.standardizer)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(vars(want).values(),
+                                                                  vars(got).values()))
+    else:
+        first_off = next(stage for stage, on in stages.items() if not on)
+        with pytest.raises(ValueError, match=rf"^model key 'config\.normalization\.{first_off}': "
+                                             r"False; a format-1 model loads only"):
+            model_from_dict(doc)
 
 
-def test_identity_normalization_returns_its_input():
-    matrix = np.random.default_rng(4).standard_normal((4, 3))
-    assert apply_normalization(matrix, IDENTITY_NORMALIZATION).tobytes() == matrix.tobytes()
-    assert fit_normalization(matrix, NormalizationConfig(False, False, False)) == (
-        IDENTITY_NORMALIZATION
-    )
+# finite float64 values, the extremes and subnormals drawn often
+chain_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)), elements=chain_floats),
+    arrays(np.float64, st.tuples(st.integers(1, 4), st.just(d)), elements=chain_floats),
+    st.lists(st.integers(0, d - 1), max_size=d),
+)))
+def test_the_chain_fits_any_finite_matrix_and_maps_finite_rows_to_finite_values(data):
+    train, rows, constant = data
+    train[:, constant] = train[:1, constant]  # some columns constant at fit time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = fit_normalization(train)
+        for x in (train, rows, rows[0]):
+            out = apply_normalization(x, params)
+            assert out.shape == x.shape and np.isfinite(out).all()
+    # the standardizer is fit on rootsift output only, whose values lie in [-1, 1]
+    assert np.abs(rootsift(apply_range_scaler(train, params.range_scaler))).max() <= 1.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,5 +278,4 @@ def test_degenerate_columns_logged_once(caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="emovid"):
         fit_normalization(rng.standard_normal((6, 4)))
-        fit_normalization(X, NormalizationConfig(standardize=False))
     assert caplog.records == []

@@ -4,15 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import cluster_labels_matrix, margin_suite
+from helpers import cluster_labels_matrix, fitted_chain, margin_suite
 
 from emovid.core import EmotionLabel
-from emovid.normalize import (
-    IDENTITY_NORMALIZATION,
-    NormalizationConfig,
-    apply_normalization,
-    fit_normalization,
-)
+from emovid.ingest import write_json
+from emovid.normalize import NormalizationParams, apply_normalization, fit_normalization
 from emovid.svm import (
     LinearSvmModel,
     SvmTrainConfig,
@@ -187,14 +183,16 @@ def test_ovr_separable_clusters_and_determinism():
 def test_decision_scores_examples():
     rng = np.random.default_rng(44)
     X = rng.standard_normal((5, 3))
-    zero_model = LinearSvmModel(np.zeros((7, 4)), SvmTrainConfig())
+    chain = fitted_chain(3)
+    zero_model = LinearSvmModel(np.zeros((7, 4)), SvmTrainConfig(), chain)
     np.testing.assert_array_equal(decision_scores(zero_model, X).scores, np.zeros((5, 7)))
 
     w = np.zeros((7, 4))
     w[:, 0] = 1.0
-    model = LinearSvmModel(w, SvmTrainConfig())
+    model = LinearSvmModel(w, SvmTrainConfig(), chain)
     x = np.array([[2.0, -1.0, 0.5]])
-    np.testing.assert_array_equal(decision_scores(model, x).scores, np.full((1, 7), 2.0))
+    first = apply_normalization(x, chain)[0, 0]  # the chain's first output column
+    np.testing.assert_array_equal(decision_scores(model, x).scores, np.full((1, 7), first))
 
     with pytest.raises(ValueError, match="dimension mismatch"):
         decision_scores(model, np.zeros((2, 7)))
@@ -203,10 +201,10 @@ def test_decision_scores_examples():
 def test_decision_scores_match_naive_dot_oracle():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((6, 5))
-    model = LinearSvmModel(rng.standard_normal((7, 6)), SvmTrainConfig())
+    model = LinearSvmModel(rng.standard_normal((7, 6)), SvmTrainConfig(), fitted_chain(5))
     got = decision_scores(model, X, video_ids=[f"v{i}" for i in range(6)])
     assert got.video_ids == tuple(f"v{i}" for i in range(6))
-    augmented = add_bias_column(X)
+    augmented = add_bias_column(apply_normalization(X, model.normalization))
     for i in range(6):
         for c in range(7):
             naive = sum(model.weights[c, j] * augmented[i, j] for j in range(6))
@@ -216,8 +214,8 @@ def test_decision_scores_match_naive_dot_oracle():
 def test_scaling_all_weights_preserves_argmax():
     rng = np.random.default_rng(19)
     X = rng.standard_normal((20, 4))
-    model = LinearSvmModel(rng.standard_normal((7, 5)), SvmTrainConfig())
-    scaled = LinearSvmModel(model.weights * 3.7, SvmTrainConfig())
+    model = LinearSvmModel(rng.standard_normal((7, 5)), SvmTrainConfig(), fitted_chain(4))
+    scaled = LinearSvmModel(model.weights * 3.7, SvmTrainConfig(), model.normalization)
     a = decision_scores(model, X).scores.argmax(axis=1)
     b = decision_scores(scaled, X).scores.argmax(axis=1)
     assert (a == b).all()
@@ -310,10 +308,8 @@ def _per_problem_cv_accuracies(X, labels, grid, cfg, folds, seed):
         fold_accs = []
         for k in range(folds):
             train = fold_of != k
-            params = fit_normalization(X[train])
-            model = train_ovr(apply_normalization(X[train], params), label_idx[train],
-                              replace(cfg, C=c_value))
-            scores = decision_scores(model, apply_normalization(X[~train], params)).scores
+            model = train_ovr(X[train], label_idx[train], replace(cfg, C=c_value))
+            scores = decision_scores(model, X[~train]).scores
             fold_accs.append(float((scores.argmax(axis=1) == label_idx[~train]).mean()))
         accuracies.append(float(np.mean(fold_accs)))
     return accuracies
@@ -337,7 +333,7 @@ def test_cv_kernel_matches_per_problem_solves(n_per_class, d, separation, bias):
 def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, separation, bias):
     X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
     cfg = SvmTrainConfig(seed=4, bias=bias)
-    augmented = _design_matrix(X, IDENTITY_NORMALIZATION, bias)
+    augmented = _design_matrix(X, bias)
     weights, alpha, converged = _cv_solve(augmented, np.asarray(labels), CV_GRID, cfg)
     # problem p = g * 7 + c is class c against the rest at C = CV_GRID[g]
     problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
@@ -360,7 +356,7 @@ def test_zero_rows_without_bias_sit_at_c_and_converge():
     X[4] = 0.0
     X[11] = 0.0
     cfg = SvmTrainConfig(seed=1, bias=False)
-    rows = _design_matrix(X, IDENTITY_NORMALIZATION, cfg.bias)
+    rows = _design_matrix(X, cfg.bias)
     _, alpha, converged = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
     assert converged.all()
     problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
@@ -381,7 +377,7 @@ def test_cv_kernel_is_deterministic_and_checks_its_input():
     and so checks them."""
     X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=2)
     cfg = SvmTrainConfig(seed=11)
-    rows = _design_matrix(X, IDENTITY_NORMALIZATION, cfg.bias)
+    rows = _design_matrix(X, cfg.bias)
     first = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
     second = _cv_solve(rows.copy(), np.asarray(labels), CV_GRID, cfg)
     for a, b in zip(first, second):
@@ -390,8 +386,7 @@ def test_cv_kernel_is_deterministic_and_checks_its_input():
             == cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1))
     X[3, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite value in X"):
-        cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1,
-                         norm_config=NormalizationConfig(False, False, False))
+        cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1)
 
 
 @pytest.mark.parametrize("bias", [True, False])
@@ -416,7 +411,7 @@ def test_cv_validation_scores_equal_the_folds_model_scores(bias, monkeypatch):
     for k, weights in enumerate(kernel_weights):
         train = fold_of != k
         params = fit_normalization(X[train])
-        rows = _design_matrix(X, params, bias)
+        rows = _design_matrix(apply_normalization(X, params), bias)
         for g, c_value in enumerate(CV_GRID):
             w = weights[g * 7:(g + 1) * 7]
             cv_scores = rows[~train] @ w.T
@@ -442,29 +437,39 @@ def test_every_row_builder_caller_rejects_a_non_finite_value(call):
         elif call == "train_ovr":
             train_ovr(X, labels, cfg)
         elif call == "cross_validate_c":
-            cross_validate_c(X, labels, CV_GRID, cfg, folds=3,
-                             norm_config=NormalizationConfig(False, False, False))
+            cross_validate_c(X, labels, CV_GRID, cfg, folds=3)
         else:
-            decision_scores(LinearSvmModel(np.zeros((7, 5)), cfg), X)
+            decision_scores(LinearSvmModel(np.zeros((7, 5)), cfg, fitted_chain(4)), X)
 
 
 @pytest.mark.parametrize("bias", [True, False])
-def test_design_rows_are_the_chain_then_the_bias_column(bias):
-    X, _ = cluster_labels_matrix(n_per_class=3, d=4, separation=6.0, sigma=1.0, seed=1)
-    params = fit_normalization(X[:12])
-    want = apply_normalization(X, params)
-    rows = _design_matrix(X, params, bias)
-    assert rows.flags.c_contiguous
-    assert rows.tobytes() == (add_bias_column(want) if bias else want).tobytes()
-    assert _design_matrix(X, IDENTITY_NORMALIZATION, False).tobytes() == X.tobytes()
+def test_design_rows_are_the_chain_then_the_bias_column(bias, monkeypatch):
+    """train_ovr and decision_scores give the solver the output of the
+    model's chain, then the constant-1 column; train_binary takes its rows
+    as they are."""
+    X, labels = cluster_labels_matrix(n_per_class=3, d=4, separation=6.0, sigma=1.0, seed=1)
+    built = []
+
+    def recording_design_matrix(rows, with_bias):
+        built.append(_design_matrix(rows, with_bias))
+        return built[-1]
+
+    monkeypatch.setattr("emovid.svm._design_matrix", recording_design_matrix)
+    model = train_ovr(X[:12], labels[:12], SvmTrainConfig(bias=bias))
+    decision_scores(model, X)
+    want = apply_normalization(X, fit_normalization(X[:12]))
+    if bias:
+        want = add_bias_column(want)
+    train_rows, predict_rows = built[0], built[-1]  # 7 train_binary calls between
+    assert train_rows.flags.c_contiguous and predict_rows.flags.c_contiguous
+    assert train_rows.tobytes() == want[:12].tobytes()
+    assert predict_rows.tobytes() == want.tobytes()
+    assert _design_matrix(X, False).tobytes() == X.tobytes()
 
 
 def test_model_round_trip_bit_exact(tmp_path):
     X, labels = cluster_labels_matrix(n_per_class=4, d=6, separation=6.0, sigma=1.0, seed=11)
-    from emovid.normalize import fit_normalization
-
-    params = fit_normalization(X)
-    model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3), params)
+    model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3))
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -479,52 +484,96 @@ def test_model_round_trip_bit_exact(tmp_path):
 
 
 def test_library_trained_model_saves_loads_and_applies(tmp_path):
+    """train_ovr fits the chain on the rows it trains on; the model file
+    carries it, and the loaded model scores raw rows bit for bit alike."""
     X, labels = cluster_labels_matrix(n_per_class=4, d=6, separation=6.0, sigma=1.0, seed=11)
     model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3))
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.weights.tobytes() == model.weights.tobytes()
-    assert loaded.normalization.config == NormalizationConfig(False, False, False)
-    assert apply_normalization(X, loaded.normalization).tobytes() == X.tobytes()
+    chain = apply_normalization(X, fit_normalization(X))
+    assert apply_normalization(X, loaded.normalization).tobytes() == chain.tobytes()
+    assert decision_scores(loaded, X).scores.tobytes() == decision_scores(model, X).scores.tobytes()
+
+
+def _format_1_document(model: LinearSvmModel) -> dict:
+    """The model's document as a format-1 writer wrote it with the default
+    config: config.normalization after the solver keys, every stage on."""
+    doc = model_to_dict(model)
+    stages = {"range_scale": True, "rootsift": True, "standardize": True}
+    return {**doc, "format_version": 1, "config": {**doc["config"], "normalization": stages}}
+
+
+def test_a_format_1_model_loads_and_scores_alike(tmp_path):
+    X, labels = cluster_labels_matrix(n_per_class=4, d=6, separation=6.0, sigma=1.0, seed=11)
+    model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3))
+    write_json(_format_1_document(model), tmp_path / "v1.json")
+    assert ('"bias": true, "normalization": {"range_scale": true, "rootsift": true, '
+            '"standardize": true}}, "range_scaler": {"mins": [') in (tmp_path / "v1.json").read_text()
+    loaded = load_model(tmp_path / "v1.json")
+    assert loaded.config == model.config
+    assert decision_scores(loaded, X).scores.tobytes() == decision_scores(model, X).scores.tobytes()
+    save_model(loaded, tmp_path / "resaved.json")  # written back as format 2
+    save_model(model, tmp_path / "v2.json")
+    assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
 
 
 @pytest.mark.parametrize("bias", (False, True))
 @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
 def test_the_model_applies_its_own_normalization(tmp_path, flags, bias):
+    """flags = (unseen rows outside the fitted ranges, so the range scaler
+    clips; a column wider than half the float64 maximum; a column constant
+    in training, which standardizes to 0). In every case the weights are
+    train_binary's on the chain's output, and scores of unseen raw rows go
+    through the same chain, before and after a save."""
+    clip, wide, constant = flags
     X, labels = cluster_labels_matrix(n_per_class=3, d=5, separation=4.0, sigma=1.0, seed=8)
-    unseen = 1.5 * X[::2] + 0.5  # partly outside the fitted ranges, so the scaler clips
-    params = fit_normalization(X, NormalizationConfig(*flags))
+    unseen = 1.5 * X[::2] + 0.5 if clip else X[1::2].copy()
+    if wide:
+        X[:, 1] *= 1e307
+        unseen[:, 1] *= 1e307
+    if constant:
+        X[:, 3] = 2.0
     cfg = SvmTrainConfig(C=0.5, seed=2, bias=bias)
-    identity = train_ovr(apply_normalization(X, params), labels, cfg)
-    want = decision_scores(identity, apply_normalization(unseen, params)).scores
-    model = train_ovr(X, labels, cfg, params)
+    chain = fit_normalization(X)
+    rows = apply_normalization(X, chain)
+    weights = np.stack([train_binary(rows, np.where(np.asarray(labels) == c, 1.0, -1.0),
+                                     replace(cfg, seed=cfg.seed + c)) for c in range(7)])
+    want = _design_matrix(apply_normalization(unseen, chain), bias) @ weights.T
+    model = train_ovr(X, labels, cfg)
     save_model(model, tmp_path / "model.json")
     for got in (model, load_model(tmp_path / "model.json")):
-        assert got.weights.tobytes() == identity.weights.tobytes()
+        assert got.weights.tobytes() == weights.tobytes()
         assert decision_scores(got, unseen).scores.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("norm_config, key", [
-    (NormalizationConfig(), "range_scaler.mins"),
-    (NormalizationConfig(range_scale=False), "standardizer.means"),
+    ({"range_scaler": 2}, "range_scaler.mins"),
+    ({"standardizer": 2}, "standardizer.means"),
 ])
 def test_scaler_columns_must_match_the_weights(norm_config, key):
-    params = fit_normalization(np.arange(6.0).reshape(3, 2), norm_config)  # 2 columns
-    LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig(), params)
-    LinearSvmModel(np.zeros((7, 2)), SvmTrainConfig(bias=False), params)
+    """norm_config names the stage fitted on 2 columns; the other stage is
+    fitted on as many columns as the weights have features."""
+    def chain(width):
+        widths = {"range_scaler": width, "standardizer": width, **norm_config}
+        return NormalizationParams(fitted_chain(widths["range_scaler"]).range_scaler,
+                                   fitted_chain(widths["standardizer"]).standardizer)
+
+    LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig(), chain(2))
+    LinearSvmModel(np.zeros((7, 2)), SvmTrainConfig(bias=False), chain(2))
     for width, bias in ((4, True), (3, False), (2, True)):
         with pytest.raises(ValueError, match=rf"'{key}': 2 columns, but the weights have "
                                              rf"{width - bias} features"):
-            LinearSvmModel(np.zeros((7, width)), SvmTrainConfig(bias=bias), params)
+            LinearSvmModel(np.zeros((7, width)), SvmTrainConfig(bias=bias), chain(width - bias))
 
 
 def test_model_load_rejects_bad_documents():
-    model = LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig())
+    model = LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig(), fitted_chain(2))
     doc = model_to_dict(model)
-    bad_version = dict(doc, format_version=2)
-    with pytest.raises(ValueError, match="format_version"):
-        model_from_dict(bad_version)
+    for version in (0, 3, "2", None):
+        with pytest.raises(ValueError, match="unsupported model format_version"):
+            model_from_dict(dict(doc, format_version=version))
     bad_order = dict(doc, label_order=list(reversed(doc["label_order"])))
     with pytest.raises(ValueError, match="label order"):
         model_from_dict(bad_order)
@@ -535,8 +584,9 @@ def test_ovr_rows_equal_binary_solves_bitwise(bias):
     X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=17)
     cfg = SvmTrainConfig(C=0.5, seed=11, bias=bias)
     model = train_ovr(X, labels, cfg)
+    rows = apply_normalization(X, fit_normalization(X))
     for c in range(7):
         y = np.where(np.asarray(labels) == c, 1.0, -1.0)
-        w = train_binary(X, y, replace(cfg, seed=cfg.seed + c))
+        w = train_binary(rows, y, replace(cfg, seed=cfg.seed + c))
         assert model.weights[c].tobytes() == w.tobytes()
     assert model.config == cfg

@@ -4,7 +4,6 @@ import pytest
 from emovid.aggregate import AggregationConfig, build_video_descriptor
 from emovid.core import EmotionLabel
 from emovid.ingest import load_frame_features, load_manifest
-from emovid.normalize import apply_normalization, fit_normalization
 from emovid.svm import SvmTrainConfig, decision_scores, train_ovr
 from emovid.synth import (
     SynthConfig,
@@ -84,9 +83,8 @@ def test_separated_classes_are_learnable(tmp_path):
         [build_video_descriptor(s.streams["frames"], agg).features for s in dataset.samples]
     )
     labels = [s.label for s in dataset.samples]
-    params = fit_normalization(X)
-    model = train_ovr(apply_normalization(X, params), labels, SvmTrainConfig(C=1.0, seed=1))
-    predicted = decision_scores(model, apply_normalization(X, params)).scores.argmax(axis=1)
+    model = train_ovr(X, labels, SvmTrainConfig(C=1.0, seed=1))
+    predicted = decision_scores(model, X).scores.argmax(axis=1)
     assert (predicted == np.array([int(l) for l in labels])).all()
 
 
@@ -101,16 +99,13 @@ def test_noiseless_pipeline_is_perfect_on_every_split(tmp_path):
     x_train = np.stack(
         [build_video_descriptor(s.streams["frames"], agg).features for s in train]
     )
-    params = fit_normalization(x_train)
-    model = train_ovr(
-        apply_normalization(x_train, params), [s.label for s in train], SvmTrainConfig(seed=1)
-    )
+    model = train_ovr(x_train, [s.label for s in train], SvmTrainConfig(seed=1))
     for split in ("train", "val", "test"):
         samples = [s for s in dataset.samples if s.split == split]
         x = np.stack(
             [build_video_descriptor(s.streams["frames"], agg).features for s in samples]
         )
-        predicted = decision_scores(model, apply_normalization(x, params)).scores.argmax(axis=1)
+        predicted = decision_scores(model, x).scores.argmax(axis=1)
         truth = np.array([int(s.label) for s in samples])
         assert (predicted == truth).all(), f"{split} split not perfect"
 
