@@ -7,7 +7,6 @@ score ensembling across streams -> class-prior weighting -> argmax.
 """
 
 from .aggregate import (
-    STAT_AGGREGATORS,
     STAT_STAR_AGGREGATORS,
     AggregationConfig,
     aggregate_fft_mean,

@@ -17,8 +17,7 @@ from .core import FrameFeatureSequence, VideoDescriptor
 
 AGGREGATOR_NAMES = ("mean", "std", "min", "max", "fft")
 
-# named presets: STAT is mean+std+min+max, STAT* drops max
-STAT_AGGREGATORS = ("mean", "std", "min", "max")
+# the STAT* preset: mean, std and min (STAT adds max)
 STAT_STAR_AGGREGATORS = ("mean", "std", "min")
 
 

@@ -5,6 +5,7 @@ Configs are JSON documents with every field defaulted; flags override
 config values, and all randomness flows from one --seed flag mixed per
 stage. The normalization chain is fixed and has no config section: train
 fits it with the SVM (svm.train_ovr), and cv re-fits it in every fold.
+The SVM's bias is always on, so the svm section has no bias key.
 Commands exit nonzero with a single-line diagnostic on stderr; warnings
 logged by the library print as one "warning:" line each.
 """

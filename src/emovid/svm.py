@@ -16,7 +16,8 @@ stratified k-fold cross-validation over a grid of C values with the
 normalization chain re-fit inside every fold, each fold's whole grid
 solved at once in Gram space (_cv_solve). train_ovr fits the chain on
 the rows it trains on, as each fold does, and the model carries it. Raw
-rows are checked once (_finite_rows); train_binary solves rows as given.
+rows are checked once (_finite_rows); every solver row ends in the
+constant-1 bias feature, so none has a zero norm.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class SvmTrainConfig:
     tolerance: float = 1e-4
     max_epochs: int = 1000
     seed: int = 0
-    bias: bool = True  # realized as an appended constant-1 feature
 
     def __post_init__(self):
         if not 0 < self.C < math.inf:
@@ -79,17 +79,17 @@ class LinearSvmModel:
     """A stream's classifier: the fitted normalization chain, then
     one-vs-rest weight vectors over its output."""
 
-    weights: np.ndarray  # (7, D) or (7, D+1) with bias
+    weights: np.ndarray  # (7, D+1): the last column weighs the constant-1 feature
     config: SvmTrainConfig
     normalization: NormalizationParams
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != NUM_CLASSES:
-            raise ValueError(f"weights must be ({NUM_CLASSES}, D), got {arr.shape}")
+            raise ValueError(f"weights must be ({NUM_CLASSES}, D+1), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("non-finite weight")
-        width = arr.shape[1] - self.config.bias
+        width = arr.shape[1] - 1
         for key, params in (("range_scaler.mins", self.normalization.range_scaler),
                             ("standardizer.means", self.normalization.standardizer)):
             if params.dim != width:
@@ -128,11 +128,6 @@ def _finite_rows(X) -> np.ndarray:
     return X
 
 
-def _design_matrix(X, bias: bool) -> np.ndarray:
-    """C-contiguous solver rows: X, then the constant-1 column when bias is on."""
-    return add_bias_column(X) if bias else np.ascontiguousarray(X)
-
-
 def _validate_binary_inputs(X, y):
     """y as a float array of +1/-1, one per row of X."""
     y = np.asarray(y, dtype=np.float64)
@@ -159,7 +154,7 @@ def train_binary(
     debug: bool = False,
     full_output: bool = False,
 ):
-    """Train one binary SVM; returns the weight vector.
+    """Train one binary SVM on X with the bias column appended; returns w.
 
     Each pass visits the active coordinates in a fresh order drawn from a
     generator seeded with cfg.seed. Passes shrink the active set (Hsieh et
@@ -171,14 +166,13 @@ def train_binary(
     with it; the solve converges only if that is below cfg.tolerance too,
     and otherwise goes on from the recomputed w. Work is capped at
     cfg.max_epochs * n gradient evaluations; SolverInfo.epochs counts them in
-    full-pass units, rounded up. A row of zeros, possible without a bias,
-    starts at its optimum alpha_i = C. With debug=True the dual objective is
+    full-pass units, rounded up. With debug=True the dual objective is
     recomputed after every pass and checked to be non-decreasing with every
     alpha inside [0, C]. With full_output=True returns (w, SolverInfo).
 
     Both classes need not be present; an all-one-class problem is legal.
     """
-    X = _design_matrix(_finite_rows(X), cfg.bias)
+    X = add_bias_column(_finite_rows(X))
     y = _validate_binary_inputs(X, y)
     n = X.shape[0]
     C = float(cfg.C)
@@ -186,14 +180,12 @@ def train_binary(
     # scalar bookkeeping in Python floats; rows stay numpy views for the dot
     rows = list(X)
     ys = y.tolist()
-    sq_norms = np.einsum("ij,ij->i", X, X).tolist()
-    # a zero row's dual term is linear, a_i: its optimum is a_i = C, which
-    # leaves w unchanged, so it starts there and is never updated
-    alpha = [C if sq == 0.0 else 0.0 for sq in sq_norms]
+    sq_norms = np.einsum("ij,ij->i", X, X).tolist()  # each >= 1: the constant-1 feature
+    alpha = [0.0] * n
     w = np.zeros(X.shape[1])
     rng = np.random.default_rng(cfg.seed)
 
-    dual_prev = float(sum(alpha))  # dual value at the starting alpha, where w = 0
+    dual_prev = 0.0  # dual value at alpha = 0
     dual_trace = []
     converged = False
     budget = cfg.max_epochs * n
@@ -228,7 +220,7 @@ def train_binary(
                 pg_max = projected
             if projected < pg_min:
                 pg_min = projected
-            if abs(projected) > _UPDATE_EPS and sq_norms[i] > 0.0:
+            if abs(projected) > _UPDATE_EPS:
                 new_a = min(max(a - grad / sq_norms[i], 0.0), C)
                 delta = new_a - a
                 if delta != 0.0:
@@ -283,13 +275,12 @@ def train_ovr(X: np.ndarray, labels, cfg: SvmTrainConfig):
     if X.shape[0] != label_idx.size:
         raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
     normalization = fit_normalization(X)
-    # built once; each class's train_binary call only re-checks these rows
-    X = _design_matrix(apply_normalization(X, normalization), cfg.bias)
+    X = apply_normalization(X, normalization)
     weight_rows = []
     solves = []
     for c in range(NUM_CLASSES):
         y = np.where(label_idx == c, 1.0, -1.0)
-        w, info = train_binary(X, y, replace(cfg, bias=False, seed=cfg.seed + c), full_output=True)
+        w, info = train_binary(X, y, replace(cfg, seed=cfg.seed + c), full_output=True)
         weight_rows.append(w)
         solves.append((cfg.C, c, info.converged))
     model = LinearSvmModel(np.stack(weight_rows), cfg, normalization)
@@ -317,13 +308,13 @@ def decision_scores(model: LinearSvmModel, X: np.ndarray, video_ids=None) -> Sco
     """Decision values w_c . x_i for every (video, class) pair, x_i being
     raw descriptor row i after the model's normalization chain."""
     X = _finite_rows(X)
-    width = X.shape[1] + model.config.bias
+    width = X.shape[1] + 1
     if width != model.weights.shape[1]:
         raise ValueError(
             f"dimension mismatch: inputs have {width} features "
             f"(bias included), model expects {model.weights.shape[1]}"
         )
-    X = _design_matrix(apply_normalization(X, model.normalization), model.config.bias)
+    X = add_bias_column(apply_normalization(X, model.normalization))
     if video_ids is None:
         video_ids = tuple(str(i) for i in range(X.shape[0]))
     return ScoreMatrix(tuple(video_ids), X @ model.weights.T)
@@ -358,7 +349,7 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
 
 def _cv_solve(X, class_idx, grid, cfg: SvmTrainConfig):
     """Solve one fold's every (C, class) one-vs-rest problem in lockstep,
-    on the fold's training rows X as _design_matrix built them.
+    on the fold's training rows X, each ending in the constant-1 feature.
 
     Problem p = g * 7 + c is class c against the rest at C = grid[g]. The
     problems share the Gram matrix K = X X^T (8 n^2 bytes), and each keeps
@@ -366,11 +357,9 @@ def _cv_solve(X, class_idx, grid, cfg: SvmTrainConfig):
     costs O(n) per problem whatever the width. Each pass visits every
     coordinate in one order, shared by the problems and drawn from a
     generator seeded with cfg.seed, and applies the exact clipped update to
-    each unfinished problem's alpha[i]; a coordinate with K_ii = 0, a row of
-    zeros without a bias, starts at its optimum C and is never updated.
-    After a pass F is recomputed exactly, and a problem leaves
-    once its largest |projected gradient| there is below cfg.tolerance, or
-    after cfg.max_epochs passes. Returns (weights, alpha, converged), one
+    each unfinished problem's alpha[i]. After a pass F is recomputed
+    exactly, and a problem leaves once its largest |projected gradient|
+    there is below cfg.tolerance, or after cfg.max_epochs passes. Returns (weights, alpha, converged), one
     row per problem: the weights (alpha * Y)^T X, the duals over the
     fold's rows, and whether the problem converged.
     """
@@ -381,15 +370,12 @@ def _cv_solve(X, class_idx, grid, cfg: SvmTrainConfig):
                 len(grid))
     C = np.repeat(np.asarray(grid, dtype=np.float64), NUM_CLASSES)
     alpha = np.zeros(Y.shape)
-    alpha[K.diagonal() <= 0.0] = C  # F stays 0: those rows of K are zero
     converged = np.zeros(C.size, dtype=bool)
     active = np.arange(C.size)
     a, y, c, f = alpha, Y, C, np.zeros(Y.shape)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.max_epochs):
         for i in rng.permutation(len(diag)).tolist():
-            if diag[i] <= 0.0:
-                continue
             yi, ai = y[i], a[i]
             new_a = np.minimum(np.maximum(ai - (yi * f[i] - 1.0) / diag[i], 0.0), c)
             f += K[i, :, None] * ((new_a - ai) * yi)
@@ -435,7 +421,7 @@ def cross_validate_c(
     solves = []
     for k in range(folds):
         train = fold_of != k
-        rows = _design_matrix(apply_normalization(X, fit_normalization(X[train])), cfg.bias)
+        rows = add_bias_column(apply_normalization(X, fit_normalization(X[train])))
         weights, _, converged = _cv_solve(rows[train], label_idx[train], grid, cfg)
         scores = (rows[~train] @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
         fold_accs.append((scores.argmax(axis=2) == label_idx[~train, None]).mean(axis=0))
@@ -456,23 +442,28 @@ class _StoredModel:
     config: SvmTrainConfig
     range_scaler: RangeScalerParams
     standardizer: StandardizerParams
-    weights: tuple[np.ndarray, ...]  # written from the (7, D) array
+    weights: tuple[np.ndarray, ...]  # written from the (7, D+1) array
     label_order: tuple[str, ...]
 
 
-def _format_1_as_2(doc: dict) -> dict:
-    """A format-1 model document with the keys of format 2: its config drops
-    the stage toggles, which must all be true (train's default) to load."""
+def _without_retired_keys(doc: dict, version: int) -> dict:
+    """The model document without its config's retired keys: bias, and
+    format 1's normalization stage toggles. Each set what is now always
+    on, so it loads only when true."""
     config = doc.get("config")
-    if isinstance(config, dict):
+    if not isinstance(config, dict):
+        return doc
+    retired = {"bias": config.get("bias", True)}
+    if version == 1:
         stages = config.get("normalization")
-        for stage in ("range_scale", "rootsift", "standardize"):
-            on = stages.get(stage) if isinstance(stages, dict) else stages
-            if on is not True:
-                raise ValueError(f"model key 'config.normalization.{stage}': {reprlib.repr(on)}; "
-                                 "a format-1 model loads only with every stage true")
-        config = {key: value for key, value in config.items() if key != "normalization"}
-    return {**doc, "config": config}
+        retired |= {f"normalization.{stage}": stages.get(stage) if isinstance(stages, dict)
+                    else stages for stage in ("range_scale", "rootsift", "standardize")}
+    for key, value in retired.items():
+        if value is not True:
+            raise ValueError(f"model key 'config.{key}': {reprlib.repr(value)}; "
+                             f"a format-{version} model loads only with it true")
+    dropped = {key.split(".")[0] for key in retired}
+    return {**doc, "config": {k: v for k, v in config.items() if k not in dropped}}
 
 
 def model_to_dict(model: LinearSvmModel) -> dict:
@@ -482,14 +473,21 @@ def model_to_dict(model: LinearSvmModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> LinearSvmModel:
-    """The model of a format-2 document, or of a format-1 one whose
-    normalization stages are all on."""
+    """The model of a format-1 or format-2 document whose retired config
+    keys are all true, and whose parameters some fit could produce."""
     version = doc.get("format_version")
-    if version == 1:
-        doc = _format_1_as_2(doc)
-    elif version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format_version: {version!r}")
-    stored = config_from_dict(_StoredModel, doc, "model")
+    stored = config_from_dict(_StoredModel, _without_retired_keys(doc, version), "model")
+    # the standardizer is only fit on rootsift output, in [-1, 1], so its means
+    # lie there; no deviation from them passes 2 (rounding is monotone), nor
+    # does a std
+    for key, low, high in (("means", -1.0, 1.0), ("stds", 0.0, 2.0)):
+        values = getattr(stored.standardizer, key)
+        outside = values[(values < low) | (values > high)]
+        if outside.size:
+            raise ValueError(f"model key 'standardizer.{key}': {float(outside[0])!r} is outside "
+                             f"[{low:g}, {high:g}], where every fit puts it")
     if stored.label_order != EMOTION_NAMES:
         raise ValueError(f"unexpected label order: {doc['label_order']!r}")
     if len({row.size for row in stored.weights}) > 1:

@@ -545,6 +545,12 @@ BAD_DOCUMENTS = [
      "range_scaler.mins"),
     ("predict", model_doc(top={"standardizer": {"means": [0.0] * 3, "stds": [1.0] * 3}}),
      "standardizer.means"),
+    # the bias is always on: a retired config.bias loads only as true
+    ("predict", model_doc(config={"bias": False}), "config.bias"),
+    ("predict", model_doc(top={"format_version": 1},
+                          config={"bias": False, "normalization": {
+                              "range_scale": True, "rootsift": True, "standardize": True}}),
+     "config.bias"),
     # numbers beyond float64: a literal that parses to inf is refused by the
     # JSON reader, which names the literal; an integer, by the key's decoder
     ("train", '{"cv": {"grid": [1e400, 1.0]}}', "1e400"),
@@ -556,17 +562,30 @@ BAD_DOCUMENTS = [
 
 
 # the config has no ensemble or normalization section, so train names the
-# whole section as unknown
+# whole section as unknown; nor has its svm section a bias key
 REMOVED_SECTIONS = {
     "train-ensemble.mode": ("train", {"ensemble": {"mode": "raw"}}, "ensemble"),
     "train-normalization.root_sift": ("train", {"normalization": {"root_sift": False}},
                                       "normalization"),
+    "train-svm.bias": ("train", {"svm": {"bias": True}}, "svm.bias"),
+}
+
+# standardizer parameters that no fit produces: it only sees rootsift
+# output, in [-1, 1], so its means lie there and its stds are at most 2
+UNREACHABLE_PARAMETERS = {
+    "predict-standardizer.means-unreachable": (
+        "predict", model_doc(top={"standardizer": {"means": [1e308, 0.0], "stds": [1e-12, 1.0]}}),
+        "standardizer.means"),
+    "predict-standardizer.stds-unreachable": (
+        "predict", model_doc(top={"standardizer": {"means": [0.0, 0.0], "stds": [1.0, 2.5]}}),
+        "standardizer.stds"),
 }
 
 
 @pytest.mark.parametrize(
-    "command, doc, key", [*BAD_DOCUMENTS, *REMOVED_SECTIONS.values()],
-    ids=[*(f"{c}-{k}" for c, _, k in BAD_DOCUMENTS), *REMOVED_SECTIONS],
+    "command, doc, key",
+    [*BAD_DOCUMENTS, *REMOVED_SECTIONS.values(), *UNREACHABLE_PARAMETERS.values()],
+    ids=[*(f"{c}-{k}" for c, _, k in BAD_DOCUMENTS), *REMOVED_SECTIONS, *UNREACHABLE_PARAMETERS],
 )
 def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, key):
     path = tmp_path / "doc.json"

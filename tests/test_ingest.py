@@ -285,6 +285,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 model_floats = finite | st.sampled_from(
     [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 )
+# the standardizer's reach: a fit on rootsift output, in [-1, 1], gives
+# means there and stds up to 2 (twice the magnitude of these)
+unit_floats = st.floats(min_value=-1.0, max_value=1.0) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+)
 positive = st.floats(min_value=1e-300, max_value=1e300)
 
 
@@ -302,8 +307,7 @@ aggregation_configs = st.builds(
     st.lists(st.sampled_from(AGGREGATOR_NAMES), min_size=1, unique=True).map(tuple),
 )
 svm_configs = st.builds(
-    SvmTrainConfig, positive, positive, st.integers(1, 10**6), st.integers(0, 2**63 - 1),
-    st.booleans(),
+    SvmTrainConfig, positive, positive, st.integers(1, 10**6), st.integers(0, 2**63 - 1)
 )
 pipeline_configs = st.builds(
     PipelineConfig,
@@ -374,11 +378,12 @@ def test_formats_and_configs_round_trip_exactly(frames, vector, ids, data, confi
 
         svm_config = configs[1]
         dim = data.draw(st.integers(1, 4))
-        params = data.draw(arrays(np.float64, (4, dim), elements=model_floats))
-        weights = data.draw(arrays(np.float64, (7, dim + svm_config.bias), elements=model_floats))
+        params = data.draw(arrays(np.float64, (2, dim), elements=model_floats))
+        moments = data.draw(arrays(np.float64, (2, dim), elements=unit_floats))
+        weights = data.draw(arrays(np.float64, (7, dim + 1), elements=model_floats))
         model = LinearSvmModel(weights, svm_config, NormalizationParams(
-            RangeScalerParams(params[:2].min(axis=0), params[:2].max(axis=0)),
-            StandardizerParams(params[2], np.abs(params[3])),
+            RangeScalerParams(params.min(axis=0), params.max(axis=0)),
+            StandardizerParams(moments[0], 2 * np.abs(moments[1])),
         ))
         saved, resaved = Path(tmp) / "model.json", Path(tmp) / "again.json"
         save_model(model, saved)

@@ -256,6 +256,18 @@ def test_the_chain_fits_any_finite_matrix_and_maps_finite_rows_to_finite_values(
 
 
 @settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)), elements=chain_floats))
+def test_every_fitted_chain_passes_the_model_load_checks(train):
+    """A model file is refused standardizer parameters that no fit can
+    produce; every fit's parameters pass, so no model train writes is."""
+    params = fit_normalization(train)
+    model = LinearSvmModel(np.zeros((7, train.shape[1] + 1)), SvmTrainConfig(), params)
+    loaded = model_from_dict(model_to_dict(model)).normalization.standardizer
+    assert loaded.means.tobytes() == params.standardizer.means.tobytes()
+    assert loaded.stds.tobytes() == params.standardizer.stds.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 40)),
               elements=st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324])))
 def test_rootsift_rows_have_unit_norm(x):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import cluster_labels_matrix, fitted_chain, margin_suite
 
 from emovid.core import EmotionLabel
@@ -25,7 +27,6 @@ from emovid.svm import (
     train_binary,
     train_ovr,
     _cv_solve,
-    _design_matrix,
     _projected_gradient,
 )
 from emovid.synth import oracle_svm_subgradient
@@ -90,9 +91,9 @@ def test_solver_matches_subgradient_oracle():
     p_oracle = primal_objective(w_oracle, augmented, y, cfg.C)
     assert abs(p_solver - p_oracle) <= 0.01 * p_oracle
     # same sign pattern on the separable pair
-    pair_x = np.array([[1.0], [-1.0]])
+    pair_x = add_bias_column(np.array([[1.0], [-1.0]]))
     pair_y = np.array([1.0, -1.0])
-    pair_w = train_binary(pair_x, pair_y, SvmTrainConfig(C=10.0, bias=False))
+    pair_w = train_binary(pair_x[:, :1], pair_y, SvmTrainConfig(C=10.0))
     pair_oracle = oracle_svm_subgradient(pair_x, pair_y, 10.0, iterations=2000)
     assert (np.sign(pair_x @ pair_w) == np.sign(pair_x @ pair_oracle)).all()
 
@@ -221,6 +222,46 @@ def test_scaling_all_weights_preserves_argmax():
     assert (a == b).all()
 
 
+# The range scaler undoes a map x -> a x + b of each column with a > 0, so
+# neither the weights nor the scores of mapped rows should see it.
+AFFINE_TOL = 1e-6
+
+
+def _columns(elements):
+    return st.lists(elements, min_size=6, max_size=6).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), _columns(st.integers(-30, 30)))
+def test_scaling_each_column_by_a_power_of_two_changes_no_bit(seed, exponents):
+    X, labels = cluster_labels_matrix(n_per_class=3, d=6, separation=3.0, sigma=1.0, seed=seed)
+    unseen = 1.5 * X[::2] + 0.5  # partly outside the fitted ranges, so clipped
+    a = 2.0 ** exponents
+    cfg = SvmTrainConfig(C=0.5, seed=seed)
+    model, mapped = train_ovr(X, labels, cfg), train_ovr(X * a, labels, cfg)
+    assert mapped.weights.tobytes() == model.weights.tobytes()
+    assert (decision_scores(mapped, unseen * a).scores.tobytes()
+            == decision_scores(model, unseen).scores.tobytes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), _columns(st.floats(1e-3, 1e3)), _columns(st.floats(-1e3, 1e3)))
+def test_a_positive_affine_map_of_each_column_keeps_scores_and_argmax(seed, a, b):
+    """Rounding in a x + b moves the chain's output by about 1e-11 here; at
+    the default tolerance that can move the solver's stopping point within
+    it, so both solves run to 1e-10 and the scores agree to AFFINE_TOL."""
+    X, labels = cluster_labels_matrix(n_per_class=3, d=6, separation=3.0, sigma=1.0, seed=seed)
+    unseen = 1.5 * X[::2] + 0.5
+    cfg = SvmTrainConfig(C=0.5, tolerance=1e-10, max_epochs=10**5, seed=seed)
+    want = decision_scores(train_ovr(X, labels, cfg), unseen).scores
+    got = decision_scores(train_ovr(X * a + b, labels, cfg), unseen * a + b).scores
+    np.testing.assert_allclose(got, want, rtol=0, atol=AFFINE_TOL)
+    # each score moved by at most AFFINE_TOL, so a wider lead keeps the argmax
+    top_two = np.sort(want, axis=1)[:, -2:]
+    clear = top_two[:, 1] - top_two[:, 0] > 2 * AFFINE_TOL
+    assert (got.argmax(axis=1)[clear] == want.argmax(axis=1)[clear]).all()
+
+
 def test_stratified_folds_cover_and_stratify():
     labels = [0, 0, 0, 0, 3, 3, 3, 3, 5, 5] * 3
     fold_of = stratified_folds(labels, folds=5, seed=1)
@@ -318,22 +359,31 @@ def _per_problem_cv_accuracies(X, labels, grid, cfg, folds, seed):
 CV_GRID = [2.0 ** k for k in (-8, -5, -2)]
 
 
-@pytest.mark.parametrize("bias", [True, False])
+def _with_zero_rows(X, zero_rows):
+    """X, with two raw rows set to zero when zero_rows is true."""
+    if zero_rows:
+        X[[4, 11]] = 0.0
+    return X
+
+
+@pytest.mark.parametrize("zero_rows", [True, False])
 @pytest.mark.parametrize("n_per_class, d, separation", [(5, 40, 6.0), (12, 6, 3.0)])  # n < D, n > D
-def test_cv_kernel_matches_per_problem_solves(n_per_class, d, separation, bias):
+def test_cv_kernel_matches_per_problem_solves(n_per_class, d, separation, zero_rows):
     X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
-    cfg = SvmTrainConfig(seed=4, bias=bias)
+    X = _with_zero_rows(X, zero_rows)
+    cfg = SvmTrainConfig(seed=4)
     _, accuracies = cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=4, seed=9)
     assert accuracies == _per_problem_cv_accuracies(X, labels, CV_GRID, cfg, folds=4, seed=9)
     assert min(accuracies) < 1.0  # the grid is not flat here
 
 
-@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("zero_rows", [True, False])
 @pytest.mark.parametrize("n_per_class, d, separation", [(5, 40, 6.0), (12, 6, 3.0), (12, 6, 2.0)])
-def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, separation, bias):
+def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, separation,
+                                                               zero_rows):
     X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
-    cfg = SvmTrainConfig(seed=4, bias=bias)
-    augmented = _design_matrix(X, bias)
+    cfg = SvmTrainConfig(seed=4)
+    augmented = add_bias_column(_with_zero_rows(X, zero_rows))
     weights, alpha, converged = _cv_solve(augmented, np.asarray(labels), CV_GRID, cfg)
     # problem p = g * 7 + c is class c against the rest at C = CV_GRID[g]
     problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
@@ -349,14 +399,14 @@ def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, se
         assert gap <= 2 * len(y) * C * cfg.tolerance
 
 
-def test_zero_rows_without_bias_sit_at_c_and_converge():
-    """Without a bias a zero row's dual term is linear, so alpha_i = C is
-    optimal and leaves w unchanged; both solvers start it there."""
+def test_zero_rows_converge_like_any_other_row():
+    """A raw row of zeros is the constant-1 feature alone in the solver's
+    rows, so both solvers update it as any other coordinate, converge, and
+    return a point that meets the KKT certificate on the rows they solved."""
     X, labels = cluster_labels_matrix(n_per_class=3, d=5, separation=6.0, sigma=1.0, seed=2)
-    X[4] = 0.0
-    X[11] = 0.0
-    cfg = SvmTrainConfig(seed=1, bias=False)
-    rows = _design_matrix(X, cfg.bias)
+    X = _with_zero_rows(X, True)
+    rows = add_bias_column(X)
+    cfg = SvmTrainConfig(seed=1)
     _, alpha, converged = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
     assert converged.all()
     problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
@@ -367,9 +417,10 @@ def test_zero_rows_without_bias_sit_at_c_and_converge():
         assert info.converged
         solves.append((info.alpha, cfg.C, y))
     for a, C, y in solves:
-        assert a[4] == a[11] == C
-        w = (a * y) @ X
-        assert np.abs(_projected_gradient(a, y * (X @ w) - 1.0, C)).max() < cfg.tolerance
+        w = (a * y) @ rows
+        assert np.abs(_projected_gradient(a, y * (rows @ w) - 1.0, C)).max() < cfg.tolerance
+    # the zero rows take values inside the box, not only its ends
+    assert any(0.0 < a[i] < C for a, C, _ in solves for i in (4, 11))
 
 
 def test_cv_kernel_is_deterministic_and_checks_its_input():
@@ -377,7 +428,7 @@ def test_cv_kernel_is_deterministic_and_checks_its_input():
     and so checks them."""
     X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=2)
     cfg = SvmTrainConfig(seed=11)
-    rows = _design_matrix(X, cfg.bias)
+    rows = add_bias_column(X)
     first = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
     second = _cv_solve(rows.copy(), np.asarray(labels), CV_GRID, cfg)
     for a, b in zip(first, second):
@@ -389,14 +440,15 @@ def test_cv_kernel_is_deterministic_and_checks_its_input():
         cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1)
 
 
-@pytest.mark.parametrize("bias", [True, False])
-def test_cv_validation_scores_equal_the_folds_model_scores(bias, monkeypatch):
+@pytest.mark.parametrize("zero_rows", [True, False])
+def test_cv_validation_scores_equal_the_folds_model_scores(zero_rows, monkeypatch):
     """A fold's validation scores, sliced from the one matrix of its chain,
     equal decision_scores of the model made of that chain and the kernel's
     weights, and the models' fold accuracies average to cross_validate_c's."""
     X, labels = cluster_labels_matrix(n_per_class=5, d=12, separation=2.0, sigma=1.0, seed=3)
+    X = _with_zero_rows(X, zero_rows)
     label_idx = np.asarray(labels)
-    cfg = SvmTrainConfig(seed=4, bias=bias)
+    cfg = SvmTrainConfig(seed=4)
     kernel_weights = []
 
     def recording_cv_solve(*args):
@@ -411,7 +463,7 @@ def test_cv_validation_scores_equal_the_folds_model_scores(bias, monkeypatch):
     for k, weights in enumerate(kernel_weights):
         train = fold_of != k
         params = fit_normalization(X[train])
-        rows = _design_matrix(apply_normalization(X, params), bias)
+        rows = add_bias_column(apply_normalization(X, params))
         for g, c_value in enumerate(CV_GRID):
             w = weights[g * 7:(g + 1) * 7]
             cv_scores = rows[~train] @ w.T
@@ -442,29 +494,29 @@ def test_every_row_builder_caller_rejects_a_non_finite_value(call):
             decision_scores(LinearSvmModel(np.zeros((7, 5)), cfg, fitted_chain(4)), X)
 
 
-@pytest.mark.parametrize("bias", [True, False])
-def test_design_rows_are_the_chain_then_the_bias_column(bias, monkeypatch):
-    """train_ovr and decision_scores give the solver the output of the
-    model's chain, then the constant-1 column; train_binary takes its rows
-    as they are."""
+@pytest.mark.parametrize("zero_rows", [True, False])
+def test_design_rows_are_the_chain_then_the_bias_column(zero_rows, monkeypatch):
+    """train_ovr gives each class's train_binary call the output of the
+    model's chain, to which it appends the constant-1 column, as
+    decision_scores does."""
     X, labels = cluster_labels_matrix(n_per_class=3, d=4, separation=6.0, sigma=1.0, seed=1)
+    X = _with_zero_rows(X, zero_rows)
     built = []
 
-    def recording_design_matrix(rows, with_bias):
-        built.append(_design_matrix(rows, with_bias))
+    def recording_add_bias_column(rows):
+        built.append(add_bias_column(rows))
         return built[-1]
 
-    monkeypatch.setattr("emovid.svm._design_matrix", recording_design_matrix)
-    model = train_ovr(X[:12], labels[:12], SvmTrainConfig(bias=bias))
+    monkeypatch.setattr("emovid.svm.add_bias_column", recording_add_bias_column)
+    model = train_ovr(X[:12], labels[:12], SvmTrainConfig())
     decision_scores(model, X)
-    want = apply_normalization(X, fit_normalization(X[:12]))
-    if bias:
-        want = add_bias_column(want)
-    train_rows, predict_rows = built[0], built[-1]  # 7 train_binary calls between
-    assert train_rows.flags.c_contiguous and predict_rows.flags.c_contiguous
-    assert train_rows.tobytes() == want[:12].tobytes()
-    assert predict_rows.tobytes() == want.tobytes()
-    assert _design_matrix(X, False).tobytes() == X.tobytes()
+    want = add_bias_column(apply_normalization(X, fit_normalization(X[:12])))
+    assert len(built) == 8  # one per train_binary call, then decision_scores
+    for rows in built:
+        assert rows.flags.c_contiguous
+    for train_rows in built[:7]:
+        assert train_rows.tobytes() == want[:12].tobytes()
+    assert built[7].tobytes() == want.tobytes()
 
 
 def test_model_round_trip_bit_exact(tmp_path):
@@ -497,50 +549,65 @@ def test_library_trained_model_saves_loads_and_applies(tmp_path):
     assert decision_scores(loaded, X).scores.tobytes() == decision_scores(model, X).scores.tobytes()
 
 
-def _format_1_document(model: LinearSvmModel) -> dict:
-    """The model's document as a format-1 writer wrote it with the default
-    config: config.normalization after the solver keys, every stage on."""
+def _earlier_document(model: LinearSvmModel, version: int) -> dict:
+    """The model's document as an earlier writer wrote it with the default
+    config: config.bias after the solver keys, then, in format 1,
+    config.normalization with every stage on."""
     doc = model_to_dict(model)
-    stages = {"range_scale": True, "rootsift": True, "standardize": True}
-    return {**doc, "format_version": 1, "config": {**doc["config"], "normalization": stages}}
+    config = {**doc["config"], "bias": True}
+    if version == 1:
+        config["normalization"] = {"range_scale": True, "rootsift": True, "standardize": True}
+    return {**doc, "format_version": version, "config": config}
 
 
 def test_a_format_1_model_loads_and_scores_alike(tmp_path):
+    """The earlier writers' format-1 and format-2 files load, score alike,
+    and save back as this writer's format 2, without config.bias."""
     X, labels = cluster_labels_matrix(n_per_class=4, d=6, separation=6.0, sigma=1.0, seed=11)
     model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3))
-    write_json(_format_1_document(model), tmp_path / "v1.json")
-    assert ('"bias": true, "normalization": {"range_scale": true, "rootsift": true, '
-            '"standardize": true}}, "range_scaler": {"mins": [') in (tmp_path / "v1.json").read_text()
-    loaded = load_model(tmp_path / "v1.json")
-    assert loaded.config == model.config
-    assert decision_scores(loaded, X).scores.tobytes() == decision_scores(model, X).scores.tobytes()
-    save_model(loaded, tmp_path / "resaved.json")  # written back as format 2
     save_model(model, tmp_path / "v2.json")
-    assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
+    assert '"bias"' not in (tmp_path / "v2.json").read_text()
+    earlier_config = {
+        1: '"seed": 3, "bias": true, "normalization": {"range_scale": true, "rootsift": true, '
+           '"standardize": true}}, "range_scaler": {"mins": [',
+        2: '"seed": 3, "bias": true}, "range_scaler": {"mins": [',
+    }
+    for version, text in earlier_config.items():
+        path = tmp_path / f"earlier_v{version}.json"
+        write_json(_earlier_document(model, version), path)
+        assert text in path.read_text()
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert (decision_scores(loaded, X).scores.tobytes()
+                == decision_scores(model, X).scores.tobytes())
+        save_model(loaded, tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
 
 
-@pytest.mark.parametrize("bias", (False, True))
+@pytest.mark.parametrize("zero_rows", (False, True))
 @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
-def test_the_model_applies_its_own_normalization(tmp_path, flags, bias):
+def test_the_model_applies_its_own_normalization(tmp_path, flags, zero_rows):
     """flags = (unseen rows outside the fitted ranges, so the range scaler
     clips; a column wider than half the float64 maximum; a column constant
-    in training, which standardizes to 0). In every case the weights are
-    train_binary's on the chain's output, and scores of unseen raw rows go
-    through the same chain, before and after a save."""
+    in training, which standardizes to 0), and zero_rows sets two raw
+    training rows to zero. In every case the weights are train_binary's on
+    the chain's output, and scores of unseen raw rows go through the same
+    chain, before and after a save."""
     clip, wide, constant = flags
     X, labels = cluster_labels_matrix(n_per_class=3, d=5, separation=4.0, sigma=1.0, seed=8)
+    X = _with_zero_rows(X, zero_rows)
     unseen = 1.5 * X[::2] + 0.5 if clip else X[1::2].copy()
     if wide:
         X[:, 1] *= 1e307
         unseen[:, 1] *= 1e307
     if constant:
         X[:, 3] = 2.0
-    cfg = SvmTrainConfig(C=0.5, seed=2, bias=bias)
+    cfg = SvmTrainConfig(C=0.5, seed=2)
     chain = fit_normalization(X)
     rows = apply_normalization(X, chain)
     weights = np.stack([train_binary(rows, np.where(np.asarray(labels) == c, 1.0, -1.0),
                                      replace(cfg, seed=cfg.seed + c)) for c in range(7)])
-    want = _design_matrix(apply_normalization(unseen, chain), bias) @ weights.T
+    want = add_bias_column(apply_normalization(unseen, chain)) @ weights.T
     model = train_ovr(X, labels, cfg)
     save_model(model, tmp_path / "model.json")
     for got in (model, load_model(tmp_path / "model.json")):
@@ -561,11 +628,10 @@ def test_scaler_columns_must_match_the_weights(norm_config, key):
                                    fitted_chain(widths["standardizer"]).standardizer)
 
     LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig(), chain(2))
-    LinearSvmModel(np.zeros((7, 2)), SvmTrainConfig(bias=False), chain(2))
-    for width, bias in ((4, True), (3, False), (2, True)):
+    for width in (4, 2):  # the last weight column is the bias's
         with pytest.raises(ValueError, match=rf"'{key}': 2 columns, but the weights have "
-                                             rf"{width - bias} features"):
-            LinearSvmModel(np.zeros((7, width)), SvmTrainConfig(bias=bias), chain(width - bias))
+                                             rf"{width - 1} features"):
+            LinearSvmModel(np.zeros((7, width)), SvmTrainConfig(), chain(width - 1))
 
 
 def test_model_load_rejects_bad_documents():
@@ -579,10 +645,11 @@ def test_model_load_rejects_bad_documents():
         model_from_dict(bad_order)
 
 
-@pytest.mark.parametrize("bias", [True, False])
-def test_ovr_rows_equal_binary_solves_bitwise(bias):
+@pytest.mark.parametrize("zero_rows", [True, False])
+def test_ovr_rows_equal_binary_solves_bitwise(zero_rows):
     X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=17)
-    cfg = SvmTrainConfig(C=0.5, seed=11, bias=bias)
+    X = _with_zero_rows(X, zero_rows)
+    cfg = SvmTrainConfig(C=0.5, seed=11)
     model = train_ovr(X, labels, cfg)
     rows = apply_normalization(X, fit_normalization(X))
     for c in range(7):
