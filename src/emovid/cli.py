@@ -159,11 +159,12 @@ def cmd_aggregate(args) -> int:
         manifest = replace(manifest, root=Path(args.features_dir))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    ids = [entry.video_id for entry in manifest.entries]
     for stream_name, agg_cfg in config.streams.items():
-        ids = []
-        rows = []
+        matrix = None  # allocated at the first descriptor's width, filled row by row
+        dims = set()
         kind = None  # the stream's first file decides the kind of all of its files
-        for entry in manifest.entries:
+        for n, entry in enumerate(manifest.entries):
             path = manifest.resolve(entry, stream_name)
             try:
                 file_kind = sniff_stream_kind(path)
@@ -182,16 +183,18 @@ def cmd_aggregate(args) -> int:
                     descriptor = load_audio_features(path)
             except ValueError as exc:
                 raise ValueError(f"video {entry.video_id!r}: {exc}") from None
-            ids.append(entry.video_id)
-            rows.append(descriptor)
-        dims = {row.size for row in rows}
+            if matrix is None:
+                matrix = np.empty((len(ids), descriptor.size))
+            dims.add(descriptor.size)
+            if descriptor.size == matrix.shape[1]:
+                matrix[n] = descriptor
         if len(dims) != 1:
             raise ValueError(
                 f"stream {stream_name!r}: inconsistent descriptor dimensions {sorted(dims)}"
             )
         out_path = out_dir / f"{stream_name}.csv"
-        write_descriptors(ids, np.stack(rows), out_path)
-        print(f"wrote {len(ids)} descriptors ({rows[0].size} dims) to {out_path}")
+        write_descriptors(ids, matrix, out_path)
+        print(f"wrote {len(ids)} descriptors ({matrix.shape[1]} dims) to {out_path}")
     return 0
 
 
@@ -241,7 +244,10 @@ def cmd_predict(args) -> int:
         raise ValueError("--manifest requires --splits")
     else:
         desc_ids, matrix, _, _ = _descriptors_in_splits(args, require_labels=False)
-    scores = decision_scores(model, matrix, video_ids=desc_ids)
+    try:
+        scores = decision_scores(model, matrix, video_ids=desc_ids)
+    except ValueError as exc:  # the rows were checked on reading; the width or weights are not
+        raise ValueError(f"{args.model}: {exc}") from None
     write_scores(scores, args.out)
     print(f"wrote scores for {scores.num_videos} videos to {args.out}")
     return 0

@@ -216,8 +216,37 @@ def _read_rows(path, fixed, features, unique: bool = False, keep=None):
     not in keep is checked for width and duplicates only, and yields None
     for its values. Errors name the line, checked in file order.
     """
-    rows = _fast_rows(path, fixed, features, unique, keep)
-    yield from _csv_rows(path, fixed, features, unique, keep) if rows is None else rows
+    rows, matrix, error = _read_table(path, fixed, features, unique, keep)
+    values = iter(matrix)
+    for lineno, cells, wanted in rows:
+        yield lineno, cells, next(values) if wanted else None
+    if error is not None:
+        raise error
+
+
+def _read_table(path, fixed, features, unique, keep):
+    """_read_rows' rows as (rows, matrix, error): rows holds (line number,
+    fixed cells, wanted) for each data row before the first bad one, matrix
+    the float cells of the wanted rows, one row each, and error the bad
+    row's ValueError (None if there is none).
+
+    _fast_rows reads the file if it can, and its np.loadtxt matrix is
+    returned as it is; otherwise the rows of _csv_rows are stacked. The
+    error is handed back rather than raised, so _read_rows raises it after
+    the rows before it, where _csv_rows alone would.
+    """
+    table = _fast_rows(path, fixed, features, unique, keep)
+    if table is not None:
+        return (*table, None)
+    rows, kept, error = [], [], None
+    try:
+        for lineno, cells, values in _csv_rows(path, fixed, features, unique, keep):
+            rows.append((lineno, cells, values is not None))
+            if values is not None:
+                kept.append(values)
+    except ValueError as exc:
+        error = exc
+    return rows, np.stack(kept) if kept else np.empty((0, 0)), error
 
 
 class _Refused(ValueError):
@@ -225,9 +254,11 @@ class _Refused(ValueError):
 
 
 def _fast_rows(path, fixed, features, unique, keep):
-    """_read_rows' rows as a list, or None when the file is one to leave to
-    _csv_rows: a line holds a quote, a NUL (csv.reader refuses it before
+    """(rows, matrix) for _read_table, or None when the file is one to leave
+    to _csv_rows: a line holds a quote, a NUL (csv.reader refuses it before
     Python 3.11) or a cell over csv.field_size_limit(), or a check fails.
+    rows holds (line number, fixed cells, wanted) for each data row, and
+    matrix the float cells of the wanted rows, one row each.
 
     Lines are split with str operations, and the float cells of the rows
     wanted are streamed into one np.loadtxt, which accepts a subset of the
@@ -277,8 +308,7 @@ def _fast_rows(path, fixed, features, unique, keep):
         matrix = np.empty((kept, width - start))
     if matrix.shape != (kept, width - start) or not np.isfinite(matrix).all():
         return None
-    values = iter(matrix)
-    return [(lineno, cells, next(values) if wanted else None) for lineno, cells, wanted in rows]
+    return rows, matrix
 
 
 def _csv_rows(path, fixed, features, unique, keep):
@@ -337,15 +367,13 @@ def _write_rows(path, header, rows) -> None:
 def _read_id_matrix(path, features, what: str, keep=None):
     """(ids, matrix) from a CSV of id + float columns with unique ids; with
     keep, of the rows whose id is in keep (a (0, 0) matrix if none is)."""
-    ids, rows, seen = [], [], 0
-    for _, cells, values in _read_rows(path, ("id",), features, unique=True, keep=keep):
-        seen += 1
-        if values is not None:
-            ids.append(cells[0])
-            rows.append(values)
-    if not seen:
+    rows, matrix, error = _read_table(path, ("id",), features, True, keep)
+    if error is not None:
+        raise error
+    if not rows:
         raise ValueError(f"{path}: no {what} rows")
-    return tuple(ids), np.stack(rows) if rows else np.empty((0, 0))
+    ids = tuple(cells[0] for _, cells, wanted in rows if wanted)
+    return ids, matrix if ids else np.empty((0, 0))
 
 
 def load_frame_features(path, video_id: str | None = None) -> FrameFeatureSequence:

@@ -6,6 +6,10 @@ rootsift, sign(x) * sqrt(|x| / ||x||_1), over the whole vector. Stage 3
 standardizes each column with mean/std fit on the training rootsift
 output. Columns that are degenerate at fit time map to 0. Finite
 descriptors map to finite values, whatever their magnitude.
+
+The chain works in one float64 buffer: apply_normalization range-scales
+into it (out=) and rootsifts and standardizes it in place, so it holds
+one copy of the rows it maps.
 """
 
 from __future__ import annotations
@@ -91,6 +95,11 @@ def _as_array(x, ndims) -> np.ndarray:
     return arr
 
 
+def _check_dim(arr: np.ndarray, dim: int) -> None:
+    if arr.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: x has {arr.shape[-1]}, params have {dim}")
+
+
 def fit_range_scaler(train) -> RangeScalerParams:
     """Column-wise min/max over the training descriptors."""
     matrix = _as_array(train, (2,))
@@ -103,8 +112,14 @@ def apply_range_scaler(x, params: RangeScalerParams) -> np.ndarray:
     """Map each column affinely onto [-1, 1] and clip; degenerate columns
     (min == max at fit time) map to 0."""
     arr = _as_array(x, (1, 2))
-    if arr.shape[-1] != params.dim:
-        raise ValueError(f"dimension mismatch: x has {arr.shape[-1]}, params have {params.dim}")
+    _check_dim(arr, params.dim)
+    out = np.empty(arr.shape)
+    _range_scale(arr, params, out)
+    return out
+
+
+def _range_scale(arr: np.ndarray, params: RangeScalerParams, out: np.ndarray) -> None:
+    """apply_range_scaler(arr, params), written into out."""
     mins, maxs = params.mins, params.maxs
     with np.errstate(over="ignore"):  # an infinite span is a wide one, below
         span = maxs - mins
@@ -113,13 +128,16 @@ def apply_range_scaler(x, params: RangeScalerParams) -> np.ndarray:
         # the same map on values divided by 4, exactly: the span of a column
         # from -1e308 to 1e308 and 2 * (x - min) stay finite
         quarter = np.where(wide, 0.25, 1.0)
-        arr, mins, maxs = arr * quarter, mins * quarter, maxs * quarter
+        arr = np.multiply(arr, quarter, out=out)
+        mins, maxs = mins * quarter, maxs * quarter
         span = maxs - mins
-    safe_span = np.where(span > 0, span, 1.0)
     with np.errstate(over="ignore"):  # far outside a narrow column: +-inf, clipped to +-1
-        scaled = 2.0 * (arr - mins) / safe_span - 1.0
-    scaled = np.where(span > 0, scaled, 0.0)
-    return np.clip(scaled, -1.0, 1.0)
+        np.subtract(arr, mins, out=out)
+        out *= 2.0
+        out /= np.where(span > 0, span, 1.0)
+        out -= 1.0
+    np.copyto(out, 0.0, where=span <= 0)
+    np.clip(out, -1.0, 1.0, out=out)
 
 
 def rootsift(x) -> np.ndarray:
@@ -129,17 +147,29 @@ def rootsift(x) -> np.ndarray:
     vector has unit L2 norm; the zero vector maps to itself. Matrices are
     transformed row-wise.
     """
-    arr = _as_array(x, (1, 2))
-    vector_in = arr.ndim == 1
-    rows = arr[None, :] if vector_in else arr
+    out = np.array(_as_array(x, (1, 2)))
+    _rootsift(out)
+    return out
+
+
+def _rootsift(buf: np.ndarray) -> None:
+    """rootsift(buf), in place: |x| is worked on in buf and its sign put
+    back last, so only one byte per value is extra."""
+    sign = np.less(buf, 0).view(np.int8)  # np.sign(-0.0) is 0.0, so -0.0 maps to +0.0
+    sign *= -2
+    sign += 1  # -1 where x < 0, else 1
+    rows = np.abs(buf, out=buf)
+    if rows.ndim == 1:
+        rows = rows[None, :]
     with np.errstate(over="ignore"):  # an infinite norm is shrunk below
-        l1 = np.abs(rows).sum(axis=1, keepdims=True)
+        l1 = rows.sum(axis=1, keepdims=True)
     if np.isinf(l1).any():  # the map is scale-invariant: shrink the rows whose L1 norm overflows
-        rows = rows / np.where(np.isinf(l1), np.abs(rows).max(axis=1, keepdims=True), 1.0)
-        l1 = np.abs(rows).sum(axis=1, keepdims=True)
-    safe_l1 = np.where(l1 > 0, l1, 1.0)
-    out = np.sign(rows) * np.sqrt(np.abs(rows) / safe_l1)
-    return out[0] if vector_in else out
+        rows /= np.where(np.isinf(l1), rows.max(axis=1, keepdims=True), 1.0)
+        np.copyto(sign, 1, where=buf == 0)  # a value shrunk to -0.0 has sign 0, as above
+        l1 = rows.sum(axis=1, keepdims=True)
+    rows /= np.where(l1 > 0, l1, 1.0)
+    np.sqrt(buf, out=buf)
+    buf *= sign
 
 
 def fit_standardizer(train) -> StandardizerParams:
@@ -152,13 +182,18 @@ def fit_standardizer(train) -> StandardizerParams:
 
 def apply_standardizer(x, params: StandardizerParams) -> np.ndarray:
     """Center and scale each column; degenerate columns map to 0."""
-    arr = _as_array(x, (1, 2))
-    if arr.shape[-1] != params.dim:
-        raise ValueError(f"dimension mismatch: x has {arr.shape[-1]}, params have {params.dim}")
+    out = np.array(_as_array(x, (1, 2)))
+    _check_dim(out, params.dim)
+    _standardize(out, params)
+    return out
+
+
+def _standardize(buf: np.ndarray, params: StandardizerParams) -> None:
+    """apply_standardizer(buf, params), in place."""
     degenerate = params.stds < DEGENERATE_STD
-    safe_std = np.where(degenerate, 1.0, params.stds)
-    out = (arr - params.means) / safe_std
-    return np.where(degenerate, 0.0, out)
+    buf -= params.means
+    buf /= np.where(degenerate, 1.0, params.stds)
+    np.copyto(buf, 0.0, where=degenerate)
 
 
 def fit_normalization(train) -> NormalizationParams:
@@ -169,7 +204,11 @@ def fit_normalization(train) -> NormalizationParams:
     whose fitted std is below DEGENERATE_STD are logged as one warning.
     """
     range_scaler = fit_range_scaler(train)
-    standardizer = fit_standardizer(rootsift(apply_range_scaler(train, range_scaler)))
+    matrix = _as_array(train, (2,))
+    rows = np.empty(matrix.shape)  # range-scaled and rootsifted in place
+    _range_scale(matrix, range_scaler, rows)
+    _rootsift(rows)
+    standardizer = fit_standardizer(rows)
     degenerate = int((standardizer.stds < DEGENERATE_STD).sum())
     if degenerate:
         log.warning("%d of %d columns have a fitted std below %g and standardize to 0",
@@ -177,7 +216,19 @@ def fit_normalization(train) -> NormalizationParams:
     return NormalizationParams(range_scaler, standardizer)
 
 
-def apply_normalization(x, params: NormalizationParams) -> np.ndarray:
-    """Apply the fitted chain to a vector or matrix of descriptors."""
-    scaled = apply_range_scaler(x, params.range_scaler)
-    return apply_standardizer(rootsift(scaled), params.standardizer)
+def apply_normalization(x, params: NormalizationParams, out=None) -> np.ndarray:
+    """Apply the fitted chain to a vector or matrix of descriptors. Every
+    stage works in out, a float64 array of x's shape (a new one when None),
+    which is returned."""
+    arr = _as_array(x, (1, 2))
+    _check_dim(arr, params.range_scaler.dim)
+    _check_dim(arr, params.standardizer.dim)
+    if out is None:
+        out = np.empty(arr.shape)
+    elif out.shape != arr.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {arr.shape}, "
+                         f"got {out.dtype} of shape {out.shape}")
+    _range_scale(arr, params.range_scaler, out)
+    _rootsift(out)
+    _standardize(out, params.standardizer)
+    return out

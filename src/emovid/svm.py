@@ -105,6 +105,16 @@ def add_bias_column(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
+def _design_buffer(n: int, d: int) -> np.ndarray:
+    """An (n, d + 1) buffer whose last column is the constant-1 feature.
+    apply_normalization(X, params, out=rows[:, :-1]) fills the rest, so
+    the rows equal add_bias_column(apply_normalization(X, params)) without
+    the copy."""
+    rows = np.empty((n, d + 1))
+    rows[:, -1] = 1.0
+    return rows
+
+
 def primal_objective(w: np.ndarray, X: np.ndarray, y: np.ndarray, C: float) -> float:
     """1/2 ||w||^2 + C * sum of hinge losses on (X, y) as given."""
     margins = y * (X @ w)
@@ -314,10 +324,17 @@ def decision_scores(model: LinearSvmModel, X: np.ndarray, video_ids=None) -> Sco
             f"dimension mismatch: inputs have {width} features "
             f"(bias included), model expects {model.weights.shape[1]}"
         )
-    X = add_bias_column(apply_normalization(X, model.normalization))
-    if video_ids is None:
-        video_ids = tuple(str(i) for i in range(X.shape[0]))
-    return ScoreMatrix(tuple(video_ids), X @ model.weights.T)
+    rows = _design_buffer(*X.shape)
+    apply_normalization(X, model.normalization, out=rows[:, :-1])
+    video_ids = tuple(str(i) for i in range(X.shape[0])) if video_ids is None else tuple(video_ids)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge weights: refused below
+        scores = rows @ model.weights.T
+    overflows = np.argwhere(~np.isfinite(scores))
+    if overflows.size:
+        i, c = overflows[0]
+        raise ValueError(f"the model's weights overflow the {EMOTION_NAMES[c]} score of "
+                         f"video {video_ids[i]!r} to {scores[i, c]}")
+    return ScoreMatrix(video_ids, scores)
 
 
 def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
@@ -419,9 +436,10 @@ def cross_validate_c(
 
     fold_accs = []
     solves = []
+    rows = _design_buffer(*X.shape)  # refilled by every fold's chain
     for k in range(folds):
         train = fold_of != k
-        rows = add_bias_column(apply_normalization(X, fit_normalization(X[train])))
+        apply_normalization(X, fit_normalization(X[train]), out=rows[:, :-1])
         weights, _, converged = _cv_solve(rows[train], label_idx[train], grid, cfg)
         scores = (rows[~train] @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
         fold_accs.append((scores.argmax(axis=2) == label_idx[~train, None]).mean(axis=0))

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from emovid.normalize import fit_normalization
+from emovid.normalize import (
+    DEGENERATE_STD,
+    NormalizationParams,
+    fit_normalization,
+    fit_range_scaler,
+    fit_standardizer,
+)
 
 
 def margin_suite(n=200, d=10, seed=42, margin_low=1.0, margin_high=3.0):
@@ -40,6 +46,62 @@ def fitted_chain(d, seed=0):
     """A normalization chain fitted on 8 standard-normal rows of width d,
     for models whose weights a test builds by hand."""
     return fit_normalization(np.random.default_rng(seed).standard_normal((8, d)))
+
+
+def reference_range_scaler(x, params):
+    """The range-scaling stage as whole-array expressions, each making a
+    new array: the formulas the in-place stage must match bit for bit."""
+    arr = np.asarray(x, dtype=np.float64)
+    mins, maxs = params.mins, params.maxs
+    with np.errstate(over="ignore"):
+        span = maxs - mins
+    wide = span > np.finfo(np.float64).max / 2
+    if wide.any():
+        quarter = np.where(wide, 0.25, 1.0)
+        arr, mins, maxs = arr * quarter, mins * quarter, maxs * quarter
+        span = maxs - mins
+    safe_span = np.where(span > 0, span, 1.0)
+    with np.errstate(over="ignore"):
+        scaled = 2.0 * (arr - mins) / safe_span - 1.0
+    scaled = np.where(span > 0, scaled, 0.0)
+    return np.clip(scaled, -1.0, 1.0)
+
+
+def reference_rootsift(x):
+    """rootsift as sign(x) * sqrt(|x| / ||x||_1) on new arrays, rows whose
+    L1 norm overflows divided by their largest magnitude first."""
+    arr = np.asarray(x, dtype=np.float64)
+    vector_in = arr.ndim == 1
+    rows = arr[None, :] if vector_in else arr
+    with np.errstate(over="ignore"):
+        l1 = np.abs(rows).sum(axis=1, keepdims=True)
+    if np.isinf(l1).any():
+        rows = rows / np.where(np.isinf(l1), np.abs(rows).max(axis=1, keepdims=True), 1.0)
+        l1 = np.abs(rows).sum(axis=1, keepdims=True)
+    safe_l1 = np.where(l1 > 0, l1, 1.0)
+    out = np.sign(rows) * np.sqrt(np.abs(rows) / safe_l1)
+    return out[0] if vector_in else out
+
+
+def reference_standardizer(x, params):
+    """(x - mean) / std per column on new arrays; degenerate columns 0."""
+    degenerate = params.stds < DEGENERATE_STD
+    safe_std = np.where(degenerate, 1.0, params.stds)
+    out = (np.asarray(x, dtype=np.float64) - params.means) / safe_std
+    return np.where(degenerate, 0.0, out)
+
+
+def reference_fit_normalization(train):
+    """fit_normalization on the reference stages."""
+    range_scaler = fit_range_scaler(train)
+    return NormalizationParams(range_scaler, fit_standardizer(
+        reference_rootsift(reference_range_scaler(train, range_scaler))))
+
+
+def reference_apply_normalization(x, params):
+    """The whole chain on the reference stages."""
+    scaled = reference_range_scaler(x, params.range_scaler)
+    return reference_standardizer(reference_rootsift(scaled), params.standardizer)
 
 
 def reference_write_rows(path, header, rows):
@@ -96,3 +158,20 @@ def reference_read_rows(path, fixed, features, unique=False, keep=None):
                     raise ValueError(f"{where}: duplicate {fixed[0]} {row[0]!r}")
                 seen.add(row[0])
             yield reader.line_num, row[:start], values
+
+
+
+def reference_read_table(path, fixed, features, unique, keep):
+    """reference_read_rows in the form ingest._read_table gives its rows:
+    (rows, matrix, error), where rows holds (line number, fixed cells,
+    wanted) for each row before the first error, matrix the values of the
+    wanted ones, and error that ValueError or None."""
+    rows, kept, error = [], [], None
+    try:
+        for lineno, cells, values in reference_read_rows(path, fixed, features, unique, keep):
+            rows.append((lineno, cells, values is not None))
+            if values is not None:
+                kept.append(values)
+    except ValueError as exc:
+        error = exc
+    return rows, np.stack(kept) if kept else np.empty((0, 0)), error

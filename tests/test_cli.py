@@ -19,6 +19,7 @@ from emovid.ingest import (
     write_manifest,
     write_scores,
 )
+from emovid.normalize import NormalizationParams, RangeScalerParams, StandardizerParams
 from emovid.svm import (
     LinearSvmModel,
     SvmTrainConfig,
@@ -725,6 +726,38 @@ def test_predict_names_the_model_width_for_a_wrong_width_file(capsys, tmp_path):
     err = run_fail(capsys, "predict", "--model", str(tmp_path / "model.json"),
                    "--descriptors", str(tmp_path / "d.csv"), "--out", str(tmp_path / "s.csv"))
     assert "inputs have 8 features (bias included), model expects 7" in err
+
+
+def test_predict_names_the_model_whose_weights_overflow_a_score(capsys, tmp_path):
+    """Weights of 1e308 are finite and load, but the chain maps the row
+    [1, 1, 1] to 3**-0.5 in every column, so every score is
+    1e308 * (3 * 3**-0.5 + 1), past the float64 maximum. predict fails
+    with one error line that names the model, and numpy warns nothing."""
+    chain = NormalizationParams(RangeScalerParams(np.zeros(3), np.ones(3)),
+                                StandardizerParams(np.zeros(3), np.ones(3)))
+    model = tmp_path / "model.json"
+    save_model(LinearSvmModel(np.full((7, 4), 1e308), SvmTrainConfig(), chain), model)
+    write_descriptors(["v0", "v1"], np.ones((2, 3)), tmp_path / "d.csv")
+    with warnings.catch_warnings(record=True) as caught:  # outside pytest, printed to stderr
+        warnings.simplefilter("always")
+        err = run_fail(capsys, "predict", "--model", str(model),
+                       "--descriptors", str(tmp_path / "d.csv"), "--out", str(tmp_path / "s.csv"))
+    assert [str(w.message) for w in caught] == []
+    assert err == (f"error: {model}: the model's weights overflow the Angry score "
+                   f"of video 'v0' to inf\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_aggregate_lists_every_descriptor_width_of_a_stream(capsys, tmp_path):
+    """Vector files of 4, 6 and 4 values: the error lists both widths."""
+    for i, width in enumerate((4, 6, 4)):
+        write_audio_features(np.arange(float(width)), tmp_path / f"a{i}.csv")
+    write_manifest([ManifestEntry(f"v{i}", "train", "Sad", {"frames": f"a{i}.csv"})
+                    for i in range(3)], tmp_path / "m.jsonl")
+    err = run_fail(capsys, "aggregate", "--manifest", str(tmp_path / "m.jsonl"),
+                   "--out", str(tmp_path / "d"))
+    assert err == "error: stream 'frames': inconsistent descriptor dimensions [4, 6]\n"
+    assert not (tmp_path / "d" / "frames.csv").exists()
 
 
 def test_predict_far_outside_the_fitted_range_prints_no_numpy_warning(capsys, tmp_path):

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emovid.core import ClassWeights, EmotionLabel, ScoreMatrix
 from emovid.ensemble import (
@@ -72,12 +77,20 @@ def test_combine_softmax_rows_sum_to_one():
     assert (combined.scores >= 0).all()
 
 
-def test_combine_stream_order_invariance():
-    rng = np.random.default_rng(41)
-    streams = [scores_of(rng.standard_normal((4, 7))) for _ in range(4)]
-    forward = combine_streams(streams)
-    backward = combine_streams(list(reversed(streams)))
-    np.testing.assert_allclose(forward.scores, backward.scores, atol=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    arrays(np.float64, (n, 7), elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])),
+    min_size=2, max_size=4)))
+def test_combine_stream_order_invariance(score_rows):
+    """Two streams combine to the same bits in either order, since a + b is
+    b + a; three or more combine alike within rounding."""
+    streams = [scores_of(rows) for rows in score_rows]
+    combined = combine_streams(streams).scores
+    for order in itertools.permutations(streams):
+        reordered = combine_streams(order).scores
+        if len(streams) == 2:
+            assert reordered.tobytes() == combined.tobytes()
+        np.testing.assert_allclose(reordered, combined, rtol=0, atol=4e-16 * len(streams))
 
 
 def test_combine_rejects_id_mismatch():

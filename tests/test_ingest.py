@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import reference_read_rows, reference_write_rows
+from helpers import reference_read_rows, reference_read_table, reference_write_rows
 
 from emovid import ingest
 from emovid.aggregate import AGGREGATOR_NAMES, AggregationConfig
@@ -554,7 +554,8 @@ def test_reader_raises_what_the_reference_reader_raises(frame_rows, id_rows):
         descriptors.write_text("\n".join(["id,x0,x1", *id_rows]) + "\n")
         for read, path in ((load_frame_features, frames), (read_descriptors, descriptors)):
             got = outcome(read, path)
-            with mock.patch.object(ingest, "_read_rows", reference_read_rows):
+            with mock.patch.object(ingest, "_read_rows", reference_read_rows), \
+                    mock.patch.object(ingest, "_read_table", reference_read_table):
                 want = outcome(read, path)
             assert got == want
 
@@ -609,7 +610,7 @@ def test_filtered_reader_raises_what_the_reference_reader_raises(id_rows, keep):
         path = Path(tmp) / "desc.csv"
         path.write_text("\n".join(["id,x0,x1", *id_rows]) + "\n")
         got = outcome(lambda p: read_descriptors(p, keep), path)
-        with mock.patch.object(ingest, "_read_rows", reference_read_rows):
+        with mock.patch.object(ingest, "_read_table", reference_read_table):
             want = outcome(lambda p: read_descriptors(p, keep), path)
         assert got == want
 

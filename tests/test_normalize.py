@@ -1,12 +1,20 @@
 import itertools
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from helpers import (
+    reference_apply_normalization,
+    reference_fit_normalization,
+    reference_range_scaler,
+    reference_rootsift,
+    reference_standardizer,
+)
 
 from emovid.normalize import (
     apply_normalization,
@@ -236,12 +244,16 @@ chain_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fro
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+# (training rows, other rows, columns made constant in the training rows)
+chain_data = st.integers(1, 4).flatmap(lambda d: st.tuples(
     arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)), elements=chain_floats),
     arrays(np.float64, st.tuples(st.integers(1, 4), st.just(d)), elements=chain_floats),
     st.lists(st.integers(0, d - 1), max_size=d),
-)))
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_data)
 def test_the_chain_fits_any_finite_matrix_and_maps_finite_rows_to_finite_values(data):
     train, rows, constant = data
     train[:, constant] = train[:1, constant]  # some columns constant at fit time
@@ -253,6 +265,81 @@ def test_the_chain_fits_any_finite_matrix_and_maps_finite_rows_to_finite_values(
             assert out.shape == x.shape and np.isfinite(out).all()
     # the standardizer is fit on rootsift output only, whose values lie in [-1, 1]
     assert np.abs(rootsift(apply_range_scaler(train, params.range_scaler))).max() <= 1.0
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# a row whose L1 norm overflows, so rootsift divides it by its largest
+# magnitude first, which shrinks -5e-324 to -0.0, whose sign is 0
+_MAX = 1.7976931348623157e308
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_data)
+@example((np.array([[_MAX, _MAX, -5e-324], [0.0, -_MAX, 1.0]]),
+          np.array([[_MAX, _MAX, -5e-324]]), []))
+def test_the_in_place_chain_is_bit_equal_to_the_reference(data):
+    """Every stage writes into one buffer; the reference in tests/helpers.py
+    evaluates the same formulas as whole-array expressions. The fit, the
+    chain into a new array, into a view beside a bias column and into its
+    own input, and each stage alone give the reference's bits, -0.0 and
+    subnormals included."""
+    train, rows, constant = data
+    train[:, constant] = train[:1, constant]
+    params = fit_normalization(train)
+    want = reference_fit_normalization(train)
+    for got, ref in ((params.range_scaler, want.range_scaler),
+                     (params.standardizer, want.standardizer)):
+        assert all(_same_bits(a, b) for a, b in zip(vars(got).values(), vars(ref).values()))
+    for x in (train, rows, rows[0]):
+        expected = reference_apply_normalization(x, params)
+        assert _same_bits(apply_normalization(x, params), expected)
+        design = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        design[..., -1] = 1.0
+        out = apply_normalization(x, params, out=design[..., :-1])
+        assert out.base is design and _same_bits(design[..., :-1].copy(), expected)
+        assert (design[..., -1] == 1.0).all()
+        own = x.copy()
+        assert apply_normalization(own, params, out=own) is own and _same_bits(own, expected)
+        # each stage alone, on raw values: rootsift sees rows whose L1 norm overflows
+        assert _same_bits(rootsift(x), reference_rootsift(x))
+        assert _same_bits(apply_range_scaler(x, params.range_scaler),
+                          reference_range_scaler(x, params.range_scaler))
+        scaled = reference_rootsift(reference_range_scaler(x, params.range_scaler))
+        assert _same_bits(apply_standardizer(scaled, params.standardizer),
+                          reference_standardizer(scaled, params.standardizer))
+
+
+def test_apply_normalization_refuses_an_out_buffer_of_another_shape_or_dtype():
+    params = fit_normalization(np.random.default_rng(1).standard_normal((4, 3)))
+    x = np.ones((2, 3))
+    for out in (np.empty((2, 4)), np.empty((3,)), np.empty((2, 3), dtype=np.float32)):
+        with pytest.raises(ValueError, match=r"out must be float64 of shape \(2, 3\)"):
+            apply_normalization(x, params, out=out)
+
+
+def test_the_chain_holds_one_copy_of_its_rows():
+    """Under tracemalloc, apply_normalization peaks at its output plus
+    rootsift's one byte of sign per value, and fit_normalization at its one
+    buffer plus the temporary of the std (numpy's var): at most 1.3 and 2.1
+    times the input (1.13 x and 2.00 x at 1156 x 12288, the paper's size;
+    the whole-array formulas of tests/helpers.py peak at 4.0 x)."""
+    x = np.random.default_rng(0).standard_normal((200, 2000))
+    params = fit_normalization(x)
+    tracemalloc.start()
+    try:
+        fit_normalization(x)
+        _, fit_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = apply_normalization(x, params)
+        _, apply_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == x.nbytes  # the output is part of the peak
+    assert apply_peak <= 1.3 * x.nbytes, apply_peak / x.nbytes
+    assert fit_peak <= 2.1 * x.nbytes, fit_peak / x.nbytes
 
 
 @settings(max_examples=300, deadline=None)

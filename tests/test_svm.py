@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import cluster_labels_matrix, fitted_chain, margin_suite
+from helpers import (
+    cluster_labels_matrix,
+    fitted_chain,
+    margin_suite,
+    reference_apply_normalization,
+    reference_fit_normalization,
+)
 
 from emovid.core import EmotionLabel
 from emovid.ingest import write_json
@@ -497,26 +503,35 @@ def test_every_row_builder_caller_rejects_a_non_finite_value(call):
 @pytest.mark.parametrize("zero_rows", [True, False])
 def test_design_rows_are_the_chain_then_the_bias_column(zero_rows, monkeypatch):
     """train_ovr gives each class's train_binary call the output of the
-    model's chain, to which it appends the constant-1 column, as
-    decision_scores does."""
+    model's chain, to which train_binary appends the constant-1 column;
+    decision_scores fills one C-contiguous buffer with the chain's output
+    beside that column, and its scores are that buffer times the weights.
+    The rows are checked byte for byte against the reference chain."""
     X, labels = cluster_labels_matrix(n_per_class=3, d=4, separation=6.0, sigma=1.0, seed=1)
     X = _with_zero_rows(X, zero_rows)
-    built = []
+    solved, filled = [], []
 
-    def recording_add_bias_column(rows):
-        built.append(add_bias_column(rows))
-        return built[-1]
+    def recording_train_binary(rows, *args, **kwargs):
+        solved.append(np.array(rows))
+        return train_binary(rows, *args, **kwargs)
 
-    monkeypatch.setattr("emovid.svm.add_bias_column", recording_add_bias_column)
+    def recording_apply_normalization(x, params, out=None):
+        filled.append(out)
+        return apply_normalization(x, params, out=out)
+
+    monkeypatch.setattr("emovid.svm.train_binary", recording_train_binary)
     model = train_ovr(X[:12], labels[:12], SvmTrainConfig())
-    decision_scores(model, X)
-    want = add_bias_column(apply_normalization(X, fit_normalization(X[:12])))
-    assert len(built) == 8  # one per train_binary call, then decision_scores
-    for rows in built:
-        assert rows.flags.c_contiguous
-    for train_rows in built[:7]:
-        assert train_rows.tobytes() == want[:12].tobytes()
-    assert built[7].tobytes() == want.tobytes()
+    monkeypatch.setattr("emovid.svm.apply_normalization", recording_apply_normalization)
+    scores = decision_scores(model, X).scores
+    chain = reference_apply_normalization(X, reference_fit_normalization(X[:12]))
+    assert len(solved) == 7
+    for train_rows in solved:
+        assert train_rows.tobytes() == chain[:12].tobytes()
+    (out,) = filled
+    design = out.base
+    assert design.flags.c_contiguous and design.shape == (X.shape[0], X.shape[1] + 1)
+    assert design.tobytes() == add_bias_column(chain).tobytes()
+    assert scores.tobytes() == (design @ model.weights.T).tobytes()
 
 
 def test_model_round_trip_bit_exact(tmp_path):
