@@ -128,7 +128,9 @@ def _descriptors_in_splits(args, require_labels: bool = True):
     keep = {entry.video_id for entry in manifest.entries if entry.split in splits}
     desc_ids, matrix = read_descriptors(args.descriptors, keep)
     rows, labels = _rows_in_splits(manifest, desc_ids, splits, "descriptor row", require_labels)
-    return [desc_ids[i] for i in rows], matrix[rows], labels, splits
+    if rows != list(range(len(desc_ids))):  # a file already in id order is not copied
+        desc_ids, matrix = tuple(desc_ids[i] for i in rows), matrix[rows]
+    return desc_ids, matrix, labels, splits
 
 
 # --- commands ----------------------------------------------------------------
@@ -143,9 +145,6 @@ def cmd_synth(args) -> int:
     dataset = generate_dataset(cfg, args.out)
     print(f"wrote {len(dataset.manifest)} videos under {args.out}")
     return 0
-
-
-_KIND_TEXT = {"frames": "a frame grid", "audio": "one vector"}
 
 
 def cmd_aggregate(args) -> int:
@@ -167,22 +166,19 @@ def cmd_aggregate(args) -> int:
         for n, entry in enumerate(manifest.entries):
             path = manifest.resolve(entry, stream_name)
             try:
-                file_kind = sniff_stream_kind(path)
-                kind = kind or file_kind
-                if file_kind != kind:
-                    raise ValueError(f"stream {stream_name!r}: {str(path)!r} holds "
-                                     f"{_KIND_TEXT[file_kind]}, but the stream's first file "
-                                     f"holds {_KIND_TEXT[kind]}")
+                # a later file of the other kind fails its loader's header check
+                kind = kind or sniff_stream_kind(path)
                 if kind == "frames":
                     seq = load_frame_features(path, video_id=entry.video_id)
                     descriptor = build_video_descriptor(seq, agg_cfg).features
                 elif written.get(stream_name):
-                    raise ValueError(f"stream {stream_name!r}: aggregation settings apply to "
-                                     f"frame files only, and {str(path)!r} holds one vector")
+                    raise ValueError(f"aggregation settings apply to frame files only, "
+                                     f"and {str(path)!r} holds one vector")
                 else:
                     descriptor = load_audio_features(path)
             except ValueError as exc:
-                raise ValueError(f"video {entry.video_id!r}: {exc}") from None
+                raise ValueError(
+                    f"video {entry.video_id!r}: stream {stream_name!r}: {exc}") from None
             if matrix is None:
                 matrix = np.empty((len(ids), descriptor.size))
             dims.add(descriptor.size)
@@ -201,11 +197,11 @@ def cmd_aggregate(args) -> int:
 def cmd_cv(args) -> int:
     config = load_pipeline_config(args.config)
     _, X, labels, _ = _descriptors_in_splits(args)
-    fold_seed = (
-        derive_seed(args.seed, "cv") if args.seed is not None else config.svm.seed
-    )
-    best_c, accuracies = cross_validate_c(X, labels, config.cv.grid, cfg=config.svm,
-                                          folds=config.cv.folds, seed=fold_seed)
+    svm_cfg = config.svm
+    if args.seed is not None:
+        svm_cfg = replace(svm_cfg, seed=derive_seed(args.seed, "cv"))
+    best_c, accuracies = cross_validate_c(X, labels, config.cv.grid, cfg=svm_cfg,
+                                          folds=config.cv.folds, seed=svm_cfg.seed)
     for c_value, acc in zip(config.cv.grid, accuracies):
         print(f"C={c_value:g}  mean_accuracy={acc:.4f}")
     print(f"best C: {best_c:g}")

@@ -50,8 +50,8 @@ def class_indices(labels) -> np.ndarray:
     return np.array([int(EmotionLabel(label)) for label in labels], dtype=np.int64)
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)  # always copies
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)  # always copies
     arr.setflags(write=False)
     return arr
 

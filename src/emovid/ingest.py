@@ -13,18 +13,20 @@ Formats:
   predictions   CSV header id,label with canonical label names
   JSON          one object per file (configs, models, reports)
 
-Every CSV goes through one row reader: blank lines are skipped, every row
-must match the header's width, float cells must be finite numbers, and
-ids must be unique in descriptor, score and prediction files. A reader
-given a set of ids to keep checks every row's width and id but parses the
-floats of the kept rows only. Plain lines are split with str operations
-and their floats tokenized by np.loadtxt; a file with a quoted cell, a
-cell only float() reads (such as 1_0) or any fault is read again by
-csv.reader, which reports each error at its line. The CSV
-writers format floats with %.17g and the JSON writer with the shortest
-repr (the stdlib encoder's); both round-trip every float64, so
-write-then-read reproduces every matrix bit-exactly. NaN, Infinity and
-literals beyond float64 (1e400) are rejected in JSON on both sides.
+Every CSV reader makes one call, _read_table: blank lines are skipped,
+every row must match the header's width, float cells must be finite
+numbers, and ids must be unique in descriptor, score and prediction
+files. A reader given a set of ids to keep checks every row's width and
+id but parses the floats of the kept rows only. Plain lines are split
+with str operations and their floats tokenized by np.loadtxt; a file
+with a quoted cell, a cell only float() reads (such as 1_0) or any fault
+is read again by csv.reader, which stops at the first bad row. A reader
+checks its own cells on the rows before that one, then raises its error,
+so errors come in file order. The CSV writers format floats with %.17g
+and the JSON writer with the shortest repr (the stdlib encoder's); both
+round-trip every float64, so write-then-read reproduces every matrix
+bit-exactly. NaN, Infinity and literals beyond float64 (1e400) are
+rejected in JSON on both sides.
 """
 
 from __future__ import annotations
@@ -205,48 +207,23 @@ def _layout(path, fixed, features, header) -> tuple:
     return len(header), len(fixed)
 
 
-def _read_rows(path, fixed, features, unique: bool = False, keep=None):
-    """Yield (line number, fixed cells, float values) for each data row of a CSV.
+def _read_table(path, fixed, features, unique: bool = False, keep=None):
+    """(rows, matrix, error) for a CSV whose header is fixed + features,
+    where features is a tuple of names or a prefix p standing for
+    p0,...,p{d-1} with d >= 1.
 
-    The header must be fixed + features, where features is a tuple of
-    names or a prefix p standing for p0,...,p{d-1} with d >= 1. Blank lines
-    are skipped. Every row must have the header's width, and its cells
-    after the fixed columns must be finite numbers; with unique, no two
-    rows may share their first cell. With keep, a row whose first cell is
-    not in keep is checked for width and duplicates only, and yields None
-    for its values. Errors name the line, checked in file order.
+    rows holds (line number, fixed cells, wanted) for each data row before
+    the first bad one, matrix the float cells of the wanted rows, one row
+    each, and error the bad row's ValueError (None if there is none): a
+    caller checks its own cells on the rows before it, then raises it, so
+    errors come in file order. Blank lines are skipped. Every row must have
+    the header's width, and its cells after the fixed columns must be
+    finite numbers; with unique, no two rows may share their first cell.
+    With keep, a row whose first cell is not in keep is checked for width
+    and duplicates only, and is not wanted.
     """
-    rows, matrix, error = _read_table(path, fixed, features, unique, keep)
-    values = iter(matrix)
-    for lineno, cells, wanted in rows:
-        yield lineno, cells, next(values) if wanted else None
-    if error is not None:
-        raise error
-
-
-def _read_table(path, fixed, features, unique, keep):
-    """_read_rows' rows as (rows, matrix, error): rows holds (line number,
-    fixed cells, wanted) for each data row before the first bad one, matrix
-    the float cells of the wanted rows, one row each, and error the bad
-    row's ValueError (None if there is none).
-
-    _fast_rows reads the file if it can, and its np.loadtxt matrix is
-    returned as it is; otherwise the rows of _csv_rows are stacked. The
-    error is handed back rather than raised, so _read_rows raises it after
-    the rows before it, where _csv_rows alone would.
-    """
-    table = _fast_rows(path, fixed, features, unique, keep)
-    if table is not None:
-        return (*table, None)
-    rows, kept, error = [], [], None
-    try:
-        for lineno, cells, values in _csv_rows(path, fixed, features, unique, keep):
-            rows.append((lineno, cells, values is not None))
-            if values is not None:
-                kept.append(values)
-    except ValueError as exc:
-        error = exc
-    return rows, np.stack(kept) if kept else np.empty((0, 0)), error
+    return (_fast_rows(path, fixed, features, unique, keep)
+            or _csv_rows(path, fixed, features, unique, keep))
 
 
 class _Refused(ValueError):
@@ -254,11 +231,10 @@ class _Refused(ValueError):
 
 
 def _fast_rows(path, fixed, features, unique, keep):
-    """(rows, matrix) for _read_table, or None when the file is one to leave
-    to _csv_rows: a line holds a quote, a NUL (csv.reader refuses it before
-    Python 3.11) or a cell over csv.field_size_limit(), or a check fails.
-    rows holds (line number, fixed cells, wanted) for each data row, and
-    matrix the float cells of the wanted rows, one row each.
+    """_read_table's (rows, matrix, None), or None when the file is one to
+    leave to _csv_rows: a line holds a quote, a NUL (csv.reader refuses it
+    before Python 3.11) or a cell over csv.field_size_limit(), or a check
+    fails.
 
     Lines are split with str operations, and the float cells of the rows
     wanted are streamed into one np.loadtxt, which accepts a subset of the
@@ -308,15 +284,15 @@ def _fast_rows(path, fixed, features, unique, keep):
         matrix = np.empty((kept, width - start))
     if matrix.shape != (kept, width - start) or not np.isfinite(matrix).all():
         return None
-    return rows, matrix
+    return rows, matrix, None
 
 
 def _csv_rows(path, fixed, features, unique, keep):
-    """_read_rows through csv.reader, one row at a time: it reads quoted
-    cells, and every cell float() reads (such as 1_0), and raises each
-    error at its line."""
+    """_read_table through csv.reader, one row at a time: it reads quoted
+    cells, and every cell float() reads (such as 1_0), and stops at the
+    first bad row with an error that names its line."""
     path = Path(path)
-    seen = set()
+    seen, rows, kept, error = set(), [], [], None
     with open(path, "r", encoding="utf-8", newline="") as fp:
         reader = csv.reader(fp)
 
@@ -329,14 +305,20 @@ def _csv_rows(path, fixed, features, unique, keep):
             for row in reader:
                 if not row:
                     continue
-                values = _row_values(row, width, start, where, keep is None or row[0] in keep)
+                wanted = keep is None or row[0] in keep
+                values = _row_values(row, width, start, where, wanted)
                 if unique:
                     if row[0] in seen:
                         raise ValueError(f"{where()}: duplicate {fixed[0]} {row[0]!r}")
                     seen.add(row[0])
-                yield reader.line_num, row[:start], values
+                rows.append((reader.line_num, row[:start], wanted))
+                if wanted:
+                    kept.append(values)
         except csv.Error as exc:  # such as a cell over csv.field_size_limit()
-            raise ValueError(f"{where()}: {exc}") from None
+            error = ValueError(f"{where()}: {exc}")
+        except ValueError as exc:  # UnicodeDecodeError included
+            error = exc
+    return rows, np.stack(kept) if kept else np.empty((0, 0)), error
 
 
 def _write_rows(path, header, rows) -> None:
@@ -384,28 +366,32 @@ def load_frame_features(path, video_id: str | None = None) -> FrameFeatureSequen
     combinations are rejected.
     """
     path = Path(path)
-    cells = {}
-    for lineno, row, values in _read_rows(path, ("frame", "variant"), "f"):
+    rows, matrix, error = _read_table(path, ("frame", "variant"), "f")
+    row_of = {}  # (frame, variant) -> row of matrix
+    for lineno, cells, _ in rows:
         try:
-            index = (int(row[0]), int(row[1]))
+            index = (int(cells[0]), int(cells[1]))
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: frame and variant must be integers"
             ) from None
-        if index in cells:
+        if index in row_of:
             raise ValueError(f"{path}: line {lineno}: duplicate (frame, variant) = {index}")
-        cells[index] = values
-    if not cells:
+        row_of[index] = len(row_of)
+    if error is not None:
+        raise error
+    if not row_of:
         raise ValueError(f"{path}: no feature rows")
-    frame_ids = sorted({f for f, _ in cells})
-    variant_ids = sorted({v for _, v in cells})
-    if len(cells) != len(frame_ids) * len(variant_ids):
+    frame_ids = sorted({f for f, _ in row_of})
+    variant_ids = sorted({v for _, v in row_of})
+    if len(row_of) != len(frame_ids) * len(variant_ids):
         raise ValueError(
-            f"{path}: non-rectangular grid: {len(cells)} rows for "
+            f"{path}: non-rectangular grid: {len(row_of)} rows for "
             f"{len(frame_ids)} frames x {len(variant_ids)} variants"
         )
-    # len(cells) == frames x variants, so every (frame, variant) is present
-    arr = np.stack([[cells[(f, v)] for v in variant_ids] for f in frame_ids])
+    # len(row_of) == frames x variants, so every (frame, variant) is present
+    order = [row_of[(f, v)] for f in frame_ids for v in variant_ids]
+    arr = matrix[order].reshape(len(frame_ids), len(variant_ids), matrix.shape[1])
     return FrameFeatureSequence(video_id or path.stem, arr)
 
 
@@ -418,10 +404,12 @@ def write_frame_features(seq: FrameFeatureSequence, path) -> None:
 def load_audio_features(path) -> np.ndarray:
     """Read a single-row audio feature vector; the dimension is whatever
     the file carries (1582 for the usual audio stream, but unconstrained)."""
-    rows = list(_read_rows(path, (), "f"))
+    rows, matrix, error = _read_table(path, (), "f")
+    if error is not None:
+        raise error
     if len(rows) != 1:
         raise ValueError(f"{path}: expected exactly one row, got {len(rows)}")
-    return rows[0][2]
+    return matrix[0]
 
 
 def write_audio_features(vector, path) -> None:
@@ -475,14 +463,16 @@ def parse_counts(text: str) -> np.ndarray:
 
 def read_predictions(path):
     """Returns (video_ids, labels) from a predictions CSV."""
-    ids, labels = [], []
-    for lineno, row, _ in _read_rows(path, ("id", "label"), (), unique=True):
-        ids.append(row[0])
+    rows, _, error = _read_table(path, ("id", "label"), (), unique=True)
+    labels = []
+    for lineno, cells, _ in rows:
         try:
-            labels.append(label_from_name(row[1]))
+            labels.append(label_from_name(cells[1]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return tuple(ids), labels
+    if error is not None:
+        raise error
+    return tuple(cells[0] for _, cells, _ in rows), labels
 
 
 def write_predictions(video_ids, labels, path) -> None:

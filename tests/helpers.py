@@ -161,7 +161,7 @@ def reference_read_rows(path, fixed, features, unique=False, keep=None):
 
 
 
-def reference_read_table(path, fixed, features, unique, keep):
+def reference_read_table(path, fixed, features, unique=False, keep=None):
     """reference_read_rows in the form ingest._read_table gives its rows:
     (rows, matrix, error), where rows holds (line number, fixed cells,
     wanted) for each row before the first error, matrix the values of the

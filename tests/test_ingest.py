@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import reference_read_rows, reference_read_table, reference_write_rows
+from helpers import reference_read_table, reference_write_rows
 
 from emovid import ingest
 from emovid.aggregate import AGGREGATOR_NAMES, AggregationConfig
@@ -554,8 +554,7 @@ def test_reader_raises_what_the_reference_reader_raises(frame_rows, id_rows):
         descriptors.write_text("\n".join(["id,x0,x1", *id_rows]) + "\n")
         for read, path in ((load_frame_features, frames), (read_descriptors, descriptors)):
             got = outcome(read, path)
-            with mock.patch.object(ingest, "_read_rows", reference_read_rows), \
-                    mock.patch.object(ingest, "_read_table", reference_read_table):
+            with mock.patch.object(ingest, "_read_table", reference_read_table):
                 want = outcome(read, path)
             assert got == want
 
@@ -651,6 +650,23 @@ def test_cells_loadtxt_refuses_read_through_the_csv_reader(tmp_path, text, ids, 
         got_ids, matrix = read_descriptors(path)
     assert csv_rows.call_count == 1
     assert got_ids == ids and matrix.tolist() == rows
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (load_frame_features, "frame,variant,f0\nx,0,1\n0,0,nan\n",
+     "line 2: frame and variant must be integers"),
+    (load_frame_features, "frame,variant,f0\n0,0,1\n0,0,2\n1,0,1,2\n",
+     "line 3: duplicate (frame, variant) = (0, 0)"),
+    (read_predictions, "id,label\na,Joy\na,Happy\n", "line 2: unknown emotion label: 'Joy'"),
+])
+def test_a_reader_checks_its_own_cells_before_a_later_bad_row(tmp_path, read, text, error):
+    """The reader's table stops at the first bad row; a reader checks its
+    own cells on the rows before it first, so the error is the first in
+    file order."""
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+        read(path)
 
 
 @pytest.mark.parametrize("read, text", [
