@@ -11,7 +11,7 @@ train on, so the C that CV picks is the C of the model train_ovr builds.
 import numpy as np
 
 from emovid import SvmTrainConfig, cross_validate_c, decision_scores, train_binary, train_ovr
-from emovid.svm import add_bias_column, dual_objective, primal_objective
+from emovid.svm import dual_objective, primal_objective
 from emovid.synth import oracle_svm_subgradient
 
 rng = np.random.default_rng(2)
@@ -25,9 +25,10 @@ X = rng.standard_normal((n, d))
 X -= np.outer(X @ normal, normal)
 X += np.outer(y * rng.uniform(1, 3, n), normal)  # margin in [1, 3]
 
+# train_binary solves the rows it is given; the bias is their constant-1 last column
+augmented = np.hstack([X, np.ones((n, 1))])
 cfg = SvmTrainConfig(C=1.0, seed=0)
-w, info = train_binary(X, y, cfg, debug=True, full_output=True)
-augmented = add_bias_column(X)
+w, info = train_binary(augmented, y, cfg, debug=True, full_output=True)
 print(f"solver: {info.epochs} epochs, converged={info.converged}")
 print(f"training accuracy: {(((augmented @ w) * y) > 0).mean():.3f}")
 

@@ -64,7 +64,7 @@ def _first_id_mismatch(a, b) -> str:
     for x, y in zip(a, b):
         if x != y:
             return y
-    return b[len(a)] if len(b) > len(a) else f"<missing after {a[len(b) - 1]}>"
+    return b[len(a)] if len(b) > len(a) else f"<missing {a[len(b)]}>"
 
 
 def apply_class_weights(scores: ScoreMatrix, weights: ClassWeights) -> ScoreMatrix:

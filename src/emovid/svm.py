@@ -16,8 +16,9 @@ stratified k-fold cross-validation over a grid of C values with the
 normalization chain re-fit inside every fold, each fold's whole grid
 solved at once in Gram space (_cv_solve). train_ovr fits the chain on
 the rows it trains on, as each fold does, and the model carries it. Raw
-rows are checked once (_finite_rows); every solver row ends in the
-constant-1 bias feature, so none has a zero norm.
+rows are checked once (_finite_rows); every solve and score works on the
+chain's output in one buffer ending in the constant-1 bias feature
+(_design_buffer), so no row has a zero norm.
 """
 
 from __future__ import annotations
@@ -99,17 +100,11 @@ class LinearSvmModel:
         object.__setattr__(self, "weights", arr)
 
 
-def add_bias_column(X: np.ndarray) -> np.ndarray:
-    """Append a constant-1 feature column."""
-    X = np.asarray(X, dtype=np.float64)
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 def _design_buffer(n: int, d: int) -> np.ndarray:
-    """An (n, d + 1) buffer whose last column is the constant-1 feature.
-    apply_normalization(X, params, out=rows[:, :-1]) fills the rest, so
-    the rows equal add_bias_column(apply_normalization(X, params)) without
-    the copy."""
+    """An (n, d + 1) C-contiguous buffer whose last column is the
+    constant-1 feature. apply_normalization(X, params, out=rows[:, :-1])
+    fills the rest; train_ovr, cross_validate_c and decision_scores each
+    build their rows this way, and train_binary solves them as given."""
     rows = np.empty((n, d + 1))
     rows[:, -1] = 1.0
     return rows
@@ -138,16 +133,13 @@ def _finite_rows(X) -> np.ndarray:
     return X
 
 
-def _validate_binary_inputs(X, y):
-    """y as a float array of +1/-1, one per row of X."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    if y.size < 1:
-        raise ValueError("need at least one training sample")
-    if not np.isin(y, (-1.0, 1.0)).all():
-        raise ValueError("labels must be +1 or -1")
-    return y
+def _checked_inputs(X, labels):
+    """Raw rows X, checked finite, and their class indices, one per row."""
+    X = _finite_rows(X)
+    label_idx = class_indices(labels)
+    if X.shape[0] != label_idx.size:
+        raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
+    return X, label_idx
 
 
 def _projected_gradient(alpha, grad, C):
@@ -164,12 +156,14 @@ def train_binary(
     debug: bool = False,
     full_output: bool = False,
 ):
-    """Train one binary SVM on X with the bias column appended; returns w.
+    """Train one binary SVM on design rows X; returns w.
 
-    Each pass visits the active coordinates in a fresh order drawn from a
-    generator seeded with cfg.seed. Passes shrink the active set (Hsieh et
-    al. 2008): a coordinate at 0 whose gradient exceeds the previous pass's
-    largest projected gradient, or at C below its smallest, is set aside.
+    X is solved as given, and its last column must be the constant-1 bias
+    feature, as in a _design_buffer. Each pass visits the active
+    coordinates in a fresh order drawn from a generator seeded with
+    cfg.seed. Passes shrink the active set (Hsieh et al. 2008): a
+    coordinate at 0 whose gradient exceeds the previous pass's largest
+    projected gradient, or at C below its smallest, is set aside.
     Once the active coordinates all meet cfg.tolerance every coordinate is
     restored. After a full pass whose largest projected-gradient violation
     is below cfg.tolerance, w is recomputed from alpha and the violation
@@ -182,8 +176,16 @@ def train_binary(
 
     Both classes need not be present; an all-one-class problem is legal.
     """
-    X = add_bias_column(_finite_rows(X))
-    y = _validate_binary_inputs(X, y)
+    X = _finite_rows(X)
+    if X.shape[1] == 0 or not (X[:, -1] == 1.0).all():
+        raise ValueError("X must end in the constant-1 bias column")
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    if y.size < 1:
+        raise ValueError("need at least one training sample")
+    if not np.isin(y, (-1.0, 1.0)).all():
+        raise ValueError("labels must be +1 or -1")
     n = X.shape[0]
     C = float(cfg.C)
 
@@ -275,22 +277,21 @@ def train_ovr(X: np.ndarray, labels, cfg: SvmTrainConfig):
     """Fit the normalization chain on raw descriptors X, then train 7
     independent class-vs-rest problems with identical config on its output.
 
-    Each class gets a fresh generator seeded with cfg.seed + class index,
-    so row c of the weights equals train_binary(apply_normalization(X,
-    model.normalization), y_c, cfg with seed cfg.seed + c). Returns the
-    model; solves stopped at cfg.max_epochs are logged as one warning.
+    The chain's output fills one _design_buffer, the rows that all 7
+    train_binary calls solve. Each class gets a fresh generator seeded with
+    cfg.seed + class index, so row c of the weights equals
+    train_binary(rows, y_c, cfg with seed cfg.seed + c). Returns the model;
+    solves stopped at cfg.max_epochs are logged as one warning.
     """
-    X = _finite_rows(X)
-    label_idx = class_indices(labels)
-    if X.shape[0] != label_idx.size:
-        raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
+    X, label_idx = _checked_inputs(X, labels)
     normalization = fit_normalization(X)
-    X = apply_normalization(X, normalization)
+    rows = _design_buffer(*X.shape)
+    apply_normalization(X, normalization, out=rows[:, :-1])
     weight_rows = []
     solves = []
     for c in range(NUM_CLASSES):
         y = np.where(label_idx == c, 1.0, -1.0)
-        w, info = train_binary(X, y, replace(cfg, seed=cfg.seed + c), full_output=True)
+        w, info = train_binary(rows, y, replace(cfg, seed=cfg.seed + c), full_output=True)
         weight_rows.append(w)
         solves.append((cfg.C, c, info.converged))
     model = LinearSvmModel(np.stack(weight_rows), cfg, normalization)
@@ -428,10 +429,7 @@ def cross_validate_c(
     grid = [replace(cfg, C=float(c)).C for c in grid]  # each C checked by SvmTrainConfig
     if not grid:
         raise ValueError("empty C grid")
-    X = _finite_rows(X)
-    label_idx = class_indices(labels)
-    if X.shape[0] != label_idx.size:
-        raise ValueError(f"{X.shape[0]} rows but {label_idx.size} labels")
+    X, label_idx = _checked_inputs(X, labels)
     fold_of = stratified_folds(label_idx, folds, seed)
 
     fold_accs = []

@@ -48,7 +48,6 @@ class SynthConfig:
     frame_sigma: float = 1.0
     counts: dict[str, int | tuple[int, ...]] = field(default_factory=_default_counts)
     seed: int = 0
-    stream_name: str = "frames"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -100,15 +99,15 @@ def class_centroids(cfg: SynthConfig) -> np.ndarray:
 
 
 def generate_dataset(cfg: SynthConfig, out_dir) -> GeneratedDataset:
-    """Write a manifest plus per-video frame-feature files under out_dir.
+    """Write a manifest plus per-video frame-feature files under out_dir,
+    all in the stream named frames, cli.PipelineConfig's default stream.
 
     Byte-identical for identical configs: every video draws from its own
     generator keyed by (seed, video index), so per-video work could also
     run concurrently without changing the output.
     """
     out = Path(out_dir)
-    features_dir = out / "features" / cfg.stream_name
-    features_dir.mkdir(parents=True, exist_ok=True)
+    (out / "features" / "frames").mkdir(parents=True, exist_ok=True)
     centroids = class_centroids(cfg)
     t_lo, t_hi = cfg.frames_range
 
@@ -130,13 +129,13 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> GeneratedDataset:
                 frames = centroids[c] + offset + noise
                 video_id = f"{split}_{EMOTION_NAMES[c].lower()}_{k:03d}"
                 seq = FrameFeatureSequence(video_id, frames)
-                rel = f"features/{cfg.stream_name}/{video_id}.csv"
+                rel = f"features/frames/{video_id}.csv"
                 write_frame_features(seq, out / rel)
                 entries.append(
-                    ManifestEntry(video_id, split, EMOTION_NAMES[c], {cfg.stream_name: rel})
+                    ManifestEntry(video_id, split, EMOTION_NAMES[c], {"frames": rel})
                 )
                 samples.append(
-                    VideoSample(video_id, split, EmotionLabel(c), {cfg.stream_name: seq})
+                    VideoSample(video_id, split, EmotionLabel(c), {"frames": seq})
                 )
                 video_index += 1
     manifest_path = out / "manifest.jsonl"

@@ -42,6 +42,12 @@ def cluster_labels_matrix(n_per_class, d, separation, sigma, seed):
     return np.vstack(rows), labels
 
 
+def design_rows(X):
+    """X with a constant-1 column appended: the rows train_binary solves."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
 def fitted_chain(d, seed=0):
     """A normalization chain fitted on 8 standard-normal rows of width d,
     for models whose weights a test builds by hand."""

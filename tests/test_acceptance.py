@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import margin_suite
+from helpers import design_rows, margin_suite
 
 from emovid.aggregate import (
     AggregationConfig,
@@ -30,7 +30,6 @@ from emovid.ingest import load_frame_features, load_manifest
 from emovid.normalize import rootsift
 from emovid.svm import (
     SvmTrainConfig,
-    add_bias_column,
     cross_validate_c,
     decision_scores,
     dual_objective,
@@ -136,10 +135,10 @@ def test_criterion_6_solver_against_subgradient_oracle():
     with criterion(6, "dual coordinate descent solves the margin suite"):
         start = time.perf_counter()
         X, y, _ = margin_suite(n=200, d=10, seed=42)
+        augmented = design_rows(X)
         cfg = SvmTrainConfig(C=1.0, seed=1)
         # debug=True asserts per-epoch dual monotonicity and alpha in [0, C]
-        w, info = train_binary(X, y, cfg, debug=True, full_output=True)
-        augmented = add_bias_column(X)
+        w, info = train_binary(augmented, y, cfg, debug=True, full_output=True)
         assert ((augmented @ w) * y > 0).mean() >= 0.99
         assert (np.diff(info.dual_objectives) >= -1e-9).all()
         assert (info.alpha >= 0.0).all() and (info.alpha <= cfg.C).all()

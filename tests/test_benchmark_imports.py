@@ -1,6 +1,7 @@
-"""The benchmark scripts under perfbench/ import program names directly.
-Every name they import must exist, so that deleting or renaming one fails
-here rather than in a benchmark run."""
+"""The benchmark scripts under perfbench/ and the demos import program
+names directly. Every name they import must exist, so that deleting or
+renaming one fails here rather than in a benchmark run or in a demo that
+the suite does not run."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from emovid import svm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCRIPTS = ("run.py", "workloads.py", "tracer.py")
+DEMOS = sorted(PERFBENCH.parent.glob("demos/*.py"))
 
 
 def program_imports(path):
@@ -24,10 +26,10 @@ def program_imports(path):
             and node.module.split(".")[0] == "emovid" for alias in node.names]
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_benchmark_imports_exist_in_the_program(script):
-    imports = program_imports(PERFBENCH / script)
-    assert imports, f"{script} imports nothing from emovid"
+def missing_names(path):
+    """The program names the file imports that do not exist."""
+    imports = program_imports(path)
+    assert imports, f"{path.name} imports nothing from emovid"
     missing = []
     for module_name, name in imports:
         module = importlib.import_module(module_name)
@@ -36,7 +38,19 @@ def test_benchmark_imports_exist_in_the_program(script):
                 importlib.import_module(f"{module_name}.{name}")
             except ModuleNotFoundError:
                 missing.append(f"{module_name}.{name}")
+    return missing
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_benchmark_imports_exist_in_the_program(script):
+    missing = missing_names(PERFBENCH / script)
     assert not missing, f"perfbench/{script} imports names the program lacks: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_imports_exist_in_the_program(demo):
+    missing = missing_names(demo)
+    assert not missing, f"demos/{demo.name} imports names the program lacks: {missing}"
 
 
 def test_the_tracer_solver_wrapper_call_binds():

@@ -564,6 +564,8 @@ BAD_DOCUMENTS = [
     ("synth", {"frames_range": "ab"}, "frames_range"),
     ("synth", {"dim": "x"}, "dim"),
     ("synth", {"counts": 3}, "counts"),
+    # synth always writes the frames stream; the key would name a path unchecked
+    ("synth", {"stream_name": "../../escaped"}, "stream_name"),
     ("predict", model_doc(config={"extra": 1}), "config.extra"),
     ("predict", model_doc(top={"extra": 1}), "extra"),
     ("predict", model_doc(top={"range_scaler": {"maxs": [1.0, 1.0]}}), "range_scaler.mins"),

@@ -98,6 +98,11 @@ def test_combine_rejects_id_mismatch():
     b = scores_of(np.zeros((2, 7)), prefix="b")
     with pytest.raises(ValueError, match="b0"):
         combine_streams([a, b])
+    # a later stream with no rows: the first id it lacks is the offender
+    with pytest.raises(ValueError, match="first offender: '<missing a0>'"):
+        combine_streams([a, scores_of(np.zeros((0, 7)))])
+    with pytest.raises(ValueError, match="first offender: '<missing a1>'"):
+        combine_streams([a, scores_of(np.zeros((1, 7)), prefix="a")])
     with pytest.raises(ValueError, match="at least one"):
         combine_streams([])
 

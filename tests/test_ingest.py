@@ -329,7 +329,6 @@ synth_configs = st.integers(1, 50).flatmap(
             st.integers(0, 20) | st.tuples(*[st.integers(0, 20)] * 7),
         ),
         seed=st.integers(0, 2**63 - 1),
-        stream_name=st.text(min_size=1, max_size=8),
     )
 )
 

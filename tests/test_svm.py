@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
     cluster_labels_matrix,
+    design_rows,
     fitted_chain,
     margin_suite,
     reference_apply_normalization,
@@ -20,7 +21,6 @@ from emovid.normalize import NormalizationParams, apply_normalization, fit_norma
 from emovid.svm import (
     LinearSvmModel,
     SvmTrainConfig,
-    add_bias_column,
     cross_validate_c,
     decision_scores,
     dual_objective,
@@ -48,33 +48,37 @@ def test_config_validation():
 
 
 def test_separable_pair():
-    X = np.array([[1.0], [-1.0]])
+    X = design_rows([[1.0], [-1.0]])
     y = np.array([1.0, -1.0])
     w = train_binary(X, y, SvmTrainConfig(C=10.0))
-    decisions = add_bias_column(X) @ w
+    decisions = X @ w
     assert (np.sign(decisions) == y).all()
 
 
 def test_one_class_degenerate():
     rng = np.random.default_rng(8)
-    X = rng.standard_normal((12, 3))
+    X = design_rows(rng.standard_normal((12, 3)))
     y = np.ones(12)
     w = train_binary(X, y, SvmTrainConfig(C=1.0))
-    assert (add_bias_column(X) @ w >= 0).all()
+    assert (X @ w >= 0).all()
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError, match="non-finite"):
-        train_binary(np.array([[np.nan]]), np.array([1.0]), SvmTrainConfig())
+        train_binary(design_rows([[np.nan]]), np.array([1.0]), SvmTrainConfig())
     with pytest.raises(ValueError, match="labels"):
-        train_binary(np.array([[1.0]]), np.array([2.0]), SvmTrainConfig())
+        train_binary(design_rows([[1.0]]), np.array([2.0]), SvmTrainConfig())
+    # raw rows, a zero-width matrix, and a zero row, whose step would divide by a zero norm
+    for X in ([[0.5, -2.0], [1.5, 3.0]], np.zeros((2, 0)), [[0.0, 0.0], [1.0, 1.0]]):
+        with pytest.raises(ValueError, match="X must end in the constant-1 bias column"):
+            train_binary(X, np.array([1.0, -1.0]), SvmTrainConfig())
 
 
 def test_margin_suite_accuracy_and_duality():
     X, y, _ = margin_suite()
+    augmented = design_rows(X)
     cfg = SvmTrainConfig(C=1.0, seed=1)
-    w, info = train_binary(X, y, cfg, debug=True, full_output=True)
-    augmented = add_bias_column(X)
+    w, info = train_binary(augmented, y, cfg, debug=True, full_output=True)
     accuracy = ((augmented @ w) * y > 0).mean()
     assert accuracy >= 0.99
     assert info.converged
@@ -89,17 +93,17 @@ def test_margin_suite_accuracy_and_duality():
 
 def test_solver_matches_subgradient_oracle():
     X, y, _ = margin_suite()
+    augmented = design_rows(X)
     cfg = SvmTrainConfig(C=1.0, seed=1)
-    w = train_binary(X, y, cfg)
-    augmented = add_bias_column(X)
+    w = train_binary(augmented, y, cfg)
     w_oracle = oracle_svm_subgradient(augmented, y, cfg.C, iterations=10**5)
     p_solver = primal_objective(w, augmented, y, cfg.C)
     p_oracle = primal_objective(w_oracle, augmented, y, cfg.C)
     assert abs(p_solver - p_oracle) <= 0.01 * p_oracle
     # same sign pattern on the separable pair
-    pair_x = add_bias_column(np.array([[1.0], [-1.0]]))
+    pair_x = design_rows([[1.0], [-1.0]])
     pair_y = np.array([1.0, -1.0])
-    pair_w = train_binary(pair_x[:, :1], pair_y, SvmTrainConfig(C=10.0))
+    pair_w = train_binary(pair_x, pair_y, SvmTrainConfig(C=10.0))
     pair_oracle = oracle_svm_subgradient(pair_x, pair_y, 10.0, iterations=2000)
     assert (np.sign(pair_x @ pair_w) == np.sign(pair_x @ pair_oracle)).all()
 
@@ -130,10 +134,10 @@ def test_converged_solves_meet_kkt_certificate(data, C):
         )
         problems = [np.where(np.asarray(labels) == c, 1.0, -1.0) for c in range(7)]
     cfg = SvmTrainConfig(C=C, seed=1)
-    augmented = add_bias_column(X)
+    augmented = design_rows(X)
     converged = 0
     for y in problems:
-        w, info = train_binary(X, y, cfg, full_output=True)
+        w, info = train_binary(augmented, y, cfg, full_output=True)
         if info.converged:
             converged += 1
             assert _max_kkt_violation(augmented, y, w, info.alpha, C) < cfg.tolerance
@@ -143,7 +147,7 @@ def test_converged_solves_meet_kkt_certificate(data, C):
 def test_shrinking_converges_well_inside_the_cap():
     # 1000 full passes do not converge here; the shrunk passes need < 100
     X, y, _ = margin_suite()
-    w, info = train_binary(X, y, SvmTrainConfig(C=0.1, seed=1), full_output=True)
+    w, info = train_binary(design_rows(X), y, SvmTrainConfig(C=0.1, seed=1), full_output=True)
     assert info.converged
     assert info.epochs < 100
 
@@ -152,7 +156,7 @@ def test_shrinking_converges_well_inside_the_cap():
 def test_capped_solve_reports_the_cap(max_epochs):
     X, y, _ = margin_suite()
     cfg = SvmTrainConfig(C=1.0, seed=1, max_epochs=max_epochs)
-    w, info = train_binary(X, y, cfg, debug=True, full_output=True)
+    w, info = train_binary(design_rows(X), y, cfg, debug=True, full_output=True)
     assert not info.converged
     assert info.epochs == max_epochs
     assert (info.alpha >= 0).all() and (info.alpha <= cfg.C).all()
@@ -160,6 +164,7 @@ def test_capped_solve_reports_the_cap(max_epochs):
 
 def test_train_binary_deterministic():
     X, y, _ = margin_suite(n=60, seed=3)
+    X = design_rows(X)
     cfg = SvmTrainConfig(C=2.0, seed=9)
     w1 = train_binary(X, y, cfg)
     w2 = train_binary(X.copy(), y.copy(), cfg)
@@ -211,7 +216,7 @@ def test_decision_scores_match_naive_dot_oracle():
     model = LinearSvmModel(rng.standard_normal((7, 6)), SvmTrainConfig(), fitted_chain(5))
     got = decision_scores(model, X, video_ids=[f"v{i}" for i in range(6)])
     assert got.video_ids == tuple(f"v{i}" for i in range(6))
-    augmented = add_bias_column(apply_normalization(X, model.normalization))
+    augmented = design_rows(apply_normalization(X, model.normalization))
     for i in range(6):
         for c in range(7):
             naive = sum(model.weights[c, j] * augmented[i, j] for j in range(6))
@@ -389,7 +394,7 @@ def test_cv_kernel_problems_converge_and_meet_kkt_certificate(n_per_class, d, se
                                                                zero_rows):
     X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
     cfg = SvmTrainConfig(seed=4)
-    augmented = add_bias_column(_with_zero_rows(X, zero_rows))
+    augmented = design_rows(_with_zero_rows(X, zero_rows))
     weights, alpha, converged = _cv_solve(augmented, np.asarray(labels), CV_GRID, cfg)
     # problem p = g * 7 + c is class c against the rest at C = CV_GRID[g]
     problems = [(C, np.where(np.asarray(labels) == c, 1.0, -1.0)) for C in CV_GRID for c in range(7)]
@@ -411,7 +416,7 @@ def test_zero_rows_converge_like_any_other_row():
     return a point that meets the KKT certificate on the rows they solved."""
     X, labels = cluster_labels_matrix(n_per_class=3, d=5, separation=6.0, sigma=1.0, seed=2)
     X = _with_zero_rows(X, True)
-    rows = add_bias_column(X)
+    rows = design_rows(X)
     cfg = SvmTrainConfig(seed=1)
     _, alpha, converged = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
     assert converged.all()
@@ -419,7 +424,7 @@ def test_zero_rows_converge_like_any_other_row():
     solves = [(alpha[p], C, y) for p, (C, y) in enumerate(problems)]
     for c in range(7):
         y = np.where(np.asarray(labels) == c, 1.0, -1.0)
-        _, info = train_binary(X, y, replace(cfg, seed=c), debug=True, full_output=True)
+        _, info = train_binary(rows, y, replace(cfg, seed=c), debug=True, full_output=True)
         assert info.converged
         solves.append((info.alpha, cfg.C, y))
     for a, C, y in solves:
@@ -434,7 +439,7 @@ def test_cv_kernel_is_deterministic_and_checks_its_input():
     and so checks them."""
     X, labels = cluster_labels_matrix(n_per_class=6, d=9, separation=3.0, sigma=1.0, seed=2)
     cfg = SvmTrainConfig(seed=11)
-    rows = add_bias_column(X)
+    rows = design_rows(X)
     first = _cv_solve(rows, np.asarray(labels), CV_GRID, cfg)
     second = _cv_solve(rows.copy(), np.asarray(labels), CV_GRID, cfg)
     for a, b in zip(first, second):
@@ -469,7 +474,7 @@ def test_cv_validation_scores_equal_the_folds_model_scores(zero_rows, monkeypatc
     for k, weights in enumerate(kernel_weights):
         train = fold_of != k
         params = fit_normalization(X[train])
-        rows = add_bias_column(apply_normalization(X, params))
+        rows = design_rows(apply_normalization(X, params))
         for g, c_value in enumerate(CV_GRID):
             w = weights[g * 7:(g + 1) * 7]
             cv_scores = rows[~train] @ w.T
@@ -491,7 +496,7 @@ def test_every_row_builder_caller_rejects_a_non_finite_value(call):
     cfg = SvmTrainConfig()
     with pytest.raises(ValueError, match="non-finite value in X"):
         if call == "train_binary":
-            train_binary(X, np.where(np.asarray(labels) == 0, 1.0, -1.0), cfg)
+            train_binary(design_rows(X), np.where(np.asarray(labels) == 0, 1.0, -1.0), cfg)
         elif call == "train_ovr":
             train_ovr(X, labels, cfg)
         elif call == "cross_validate_c":
@@ -502,17 +507,17 @@ def test_every_row_builder_caller_rejects_a_non_finite_value(call):
 
 @pytest.mark.parametrize("zero_rows", [True, False])
 def test_design_rows_are_the_chain_then_the_bias_column(zero_rows, monkeypatch):
-    """train_ovr gives each class's train_binary call the output of the
-    model's chain, to which train_binary appends the constant-1 column;
-    decision_scores fills one C-contiguous buffer with the chain's output
-    beside that column, and its scores are that buffer times the weights.
-    The rows are checked byte for byte against the reference chain."""
+    """train_ovr and decision_scores each fill one C-contiguous buffer with
+    the chain's output beside the constant-1 column: all 7 of train_ovr's
+    train_binary calls receive its one buffer, and decision_scores's scores
+    are its buffer times the weights. The rows are checked byte for byte
+    against the reference chain."""
     X, labels = cluster_labels_matrix(n_per_class=3, d=4, separation=6.0, sigma=1.0, seed=1)
     X = _with_zero_rows(X, zero_rows)
     solved, filled = [], []
 
     def recording_train_binary(rows, *args, **kwargs):
-        solved.append(np.array(rows))
+        solved.append(rows)
         return train_binary(rows, *args, **kwargs)
 
     def recording_apply_normalization(x, params, out=None):
@@ -520,18 +525,17 @@ def test_design_rows_are_the_chain_then_the_bias_column(zero_rows, monkeypatch):
         return apply_normalization(x, params, out=out)
 
     monkeypatch.setattr("emovid.svm.train_binary", recording_train_binary)
-    model = train_ovr(X[:12], labels[:12], SvmTrainConfig())
     monkeypatch.setattr("emovid.svm.apply_normalization", recording_apply_normalization)
+    model = train_ovr(X[:12], labels[:12], SvmTrainConfig())
     scores = decision_scores(model, X).scores
     chain = reference_apply_normalization(X, reference_fit_normalization(X[:12]))
-    assert len(solved) == 7
-    for train_rows in solved:
-        assert train_rows.tobytes() == chain[:12].tobytes()
-    (out,) = filled
-    design = out.base
-    assert design.flags.c_contiguous and design.shape == (X.shape[0], X.shape[1] + 1)
-    assert design.tobytes() == add_bias_column(chain).tobytes()
-    assert scores.tobytes() == (design @ model.weights.T).tobytes()
+    (train_out, predict_out) = filled
+    assert len(solved) == 7 and all(rows is train_out.base for rows in solved)
+    for out, n in ((train_out, 12), (predict_out, X.shape[0])):
+        design = out.base
+        assert design.flags.c_contiguous and design.shape == (n, X.shape[1] + 1)
+        assert design.tobytes() == design_rows(chain[:n]).tobytes()
+    assert scores.tobytes() == (predict_out.base @ model.weights.T).tobytes()
 
 
 def test_model_round_trip_bit_exact(tmp_path):
@@ -619,10 +623,10 @@ def test_the_model_applies_its_own_normalization(tmp_path, flags, zero_rows):
         X[:, 3] = 2.0
     cfg = SvmTrainConfig(C=0.5, seed=2)
     chain = fit_normalization(X)
-    rows = apply_normalization(X, chain)
+    rows = design_rows(apply_normalization(X, chain))
     weights = np.stack([train_binary(rows, np.where(np.asarray(labels) == c, 1.0, -1.0),
                                      replace(cfg, seed=cfg.seed + c)) for c in range(7)])
-    want = add_bias_column(apply_normalization(unseen, chain)) @ weights.T
+    want = design_rows(apply_normalization(unseen, chain)) @ weights.T
     model = train_ovr(X, labels, cfg)
     save_model(model, tmp_path / "model.json")
     for got in (model, load_model(tmp_path / "model.json")):
@@ -666,7 +670,7 @@ def test_ovr_rows_equal_binary_solves_bitwise(zero_rows):
     X = _with_zero_rows(X, zero_rows)
     cfg = SvmTrainConfig(C=0.5, seed=11)
     model = train_ovr(X, labels, cfg)
-    rows = apply_normalization(X, fit_normalization(X))
+    rows = design_rows(apply_normalization(X, fit_normalization(X)))
     for c in range(7):
         y = np.where(np.asarray(labels) == c, 1.0, -1.0)
         w = train_binary(rows, y, replace(cfg, seed=cfg.seed + c))
