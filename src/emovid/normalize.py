@@ -7,9 +7,11 @@ standardizes each column with mean/std fit on the training rootsift
 output. Columns that are degenerate at fit time map to 0. Finite
 descriptors map to finite values, whatever their magnitude.
 
-The chain works in one float64 buffer: apply_normalization range-scales
-into it (out=) and rootsifts and standardizes it in place, so it holds
-one copy of the rows it maps.
+The chain works in one float64 buffer: apply_normalization and
+fit_normalization range-scale into it (out=) and rootsift and standardize
+it in place, so each holds one copy of the rows it maps. The fit takes
+the std over blocks of columns, so it holds no second copy either, and
+its buffer ends up holding the chain's output of its training rows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from .core import _frozen_array
 
 # columns whose fitted std falls below this are treated as constant
 DEGENERATE_STD = 1e-12
+# fit_normalization takes the std over blocks of this many columns, so that
+# numpy's var holds an (n, 64) temporary, not a copy of the whole buffer; at
+# 773 x 12288 the blocks take about the time of one whole-matrix np.std,
+# and narrower ones take longer
+_STD_BLOCK = 64
 _HALF_MAX = np.finfo(np.float64).max / 2
 
 log = logging.getLogger(__name__)
@@ -196,23 +203,50 @@ def _standardize(buf: np.ndarray, params: StandardizerParams) -> None:
     np.copyto(buf, 0.0, where=degenerate)
 
 
-def fit_normalization(train) -> NormalizationParams:
+def _column_stds(matrix: np.ndarray) -> np.ndarray:
+    """matrix.std(axis=0), bit for bit, taken over blocks of _STD_BLOCK
+    columns. No block is 1 wide unless the matrix is: numpy sums one
+    column pairwise, but the columns of a wider block row by row, as it
+    sums those of the whole matrix."""
+    d = matrix.shape[1]
+    starts = list(range(0, max(d - 1, 1), _STD_BLOCK))
+    stds = np.empty(d)
+    for start, end in zip(starts, starts[1:] + [d]):
+        stds[start:end] = matrix[:, start:end].std(axis=0)
+    return stds
+
+
+def _out_buffer(arr: np.ndarray, out) -> np.ndarray:
+    """out, checked to be float64 of arr's shape; a new array when None."""
+    if out is None:
+        return np.empty(arr.shape)
+    if out.shape != arr.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {arr.shape}, "
+                         f"got {out.dtype} of shape {out.shape}")
+    return out
+
+
+def fit_normalization(train, out=None) -> NormalizationParams:
     """Fit the chain on the training set only.
 
     The standardizer is fit on the training data after range scaling and
-    rootsift, i.e. on what it will actually see at apply time. Columns
-    whose fitted std is below DEGENERATE_STD are logged as one warning.
+    rootsift, i.e. on what it will actually see at apply time. Every stage
+    works in out, a float64 array of train's shape (a new one when None;
+    it may be train itself), which then holds the bits of
+    apply_normalization(train, params). Columns whose fitted std is below
+    DEGENERATE_STD are logged as one warning.
     """
     range_scaler = fit_range_scaler(train)
     matrix = _as_array(train, (2,))
-    rows = np.empty(matrix.shape)  # range-scaled and rootsifted in place
-    _range_scale(matrix, range_scaler, rows)
-    _rootsift(rows)
-    standardizer = fit_standardizer(rows)
+    out = _out_buffer(matrix, out)
+    _range_scale(matrix, range_scaler, out)
+    _rootsift(out)
+    standardizer = StandardizerParams(out.mean(axis=0), _column_stds(out))
     degenerate = int((standardizer.stds < DEGENERATE_STD).sum())
     if degenerate:
         log.warning("%d of %d columns have a fitted std below %g and standardize to 0",
                     degenerate, standardizer.dim, DEGENERATE_STD)
+    _standardize(out, standardizer)
     return NormalizationParams(range_scaler, standardizer)
 
 
@@ -223,11 +257,7 @@ def apply_normalization(x, params: NormalizationParams, out=None) -> np.ndarray:
     arr = _as_array(x, (1, 2))
     _check_dim(arr, params.range_scaler.dim)
     _check_dim(arr, params.standardizer.dim)
-    if out is None:
-        out = np.empty(arr.shape)
-    elif out.shape != arr.shape or out.dtype != np.float64:
-        raise ValueError(f"out must be float64 of shape {arr.shape}, "
-                         f"got {out.dtype} of shape {out.shape}")
+    out = _out_buffer(arr, out)
     _range_scale(arr, params.range_scaler, out)
     _rootsift(out)
     _standardize(out, params.standardizer)

@@ -18,7 +18,10 @@ solved at once in Gram space (_cv_solve). train_ovr fits the chain on
 the rows it trains on, as each fold does, and the model carries it. Raw
 rows are checked once (_finite_rows); every solve and score works on the
 chain's output in one buffer ending in the constant-1 bias feature
-(_design_buffer), so no row has a zero norm.
+(_design_buffer), so no row has a zero norm. The fit writes its training
+rows' output straight into the buffer they are solved in
+(fit_normalization's out=); only rows scored by a fitted chain go
+through apply_normalization.
 """
 
 from __future__ import annotations
@@ -102,9 +105,11 @@ class LinearSvmModel:
 
 def _design_buffer(n: int, d: int) -> np.ndarray:
     """An (n, d + 1) C-contiguous buffer whose last column is the
-    constant-1 feature. apply_normalization(X, params, out=rows[:, :-1])
-    fills the rest; train_ovr, cross_validate_c and decision_scores each
-    build their rows this way, and train_binary solves them as given."""
+    constant-1 feature. fit_normalization(X, out=rows[:, :-1]) fills the
+    rest with a fit's training rows (train_ovr, each fold of
+    cross_validate_c), apply_normalization(X, params, out=rows[:, :-1])
+    with rows a fitted chain scores (a fold's held-out rows,
+    decision_scores); train_binary solves them as given."""
     rows = np.empty((n, d + 1))
     rows[:, -1] = 1.0
     return rows
@@ -277,16 +282,15 @@ def train_ovr(X: np.ndarray, labels, cfg: SvmTrainConfig):
     """Fit the normalization chain on raw descriptors X, then train 7
     independent class-vs-rest problems with identical config on its output.
 
-    The chain's output fills one _design_buffer, the rows that all 7
-    train_binary calls solve. Each class gets a fresh generator seeded with
-    cfg.seed + class index, so row c of the weights equals
+    The fit writes the chain's output into one _design_buffer, the rows
+    that all 7 train_binary calls solve. Each class gets a fresh generator
+    seeded with cfg.seed + class index, so row c of the weights equals
     train_binary(rows, y_c, cfg with seed cfg.seed + c). Returns the model;
     solves stopped at cfg.max_epochs are logged as one warning.
     """
     X, label_idx = _checked_inputs(X, labels)
-    normalization = fit_normalization(X)
     rows = _design_buffer(*X.shape)
-    apply_normalization(X, normalization, out=rows[:, :-1])
+    normalization = fit_normalization(X, out=rows[:, :-1])
     weight_rows = []
     solves = []
     for c in range(NUM_CLASSES):
@@ -420,11 +424,13 @@ def cross_validate_c(
     """Pick the regularization constant by stratified k-fold CV.
 
     For each fold the normalization chain is re-fit on that fold's
-    training portion only and applied once to every row; _cv_solve trains
-    the fold's models for the whole grid at once on the training slice of
-    those rows. Returns (best C, list of per-C mean accuracies
-    aligned with the grid); ties go to the smallest C. Solves stopped at
-    cfg.max_epochs are logged as one warning for the whole grid.
+    training portion only, and the fit writes that portion's output into
+    the fold's design buffer; _cv_solve trains the fold's models for the
+    whole grid at once on it. They score the held-out rows, which the
+    fitted chain maps into a buffer of their own. Returns (best C, list of
+    per-C mean accuracies aligned with the grid); ties go to the smallest
+    C. Solves stopped at cfg.max_epochs are logged as one warning for the
+    whole grid.
     """
     grid = [replace(cfg, C=float(c)).C for c in grid]  # each C checked by SvmTrainConfig
     if not grid:
@@ -434,12 +440,15 @@ def cross_validate_c(
 
     fold_accs = []
     solves = []
-    rows = _design_buffer(*X.shape)  # refilled by every fold's chain
     for k in range(folds):
         train = fold_of != k
-        apply_normalization(X, fit_normalization(X[train]), out=rows[:, :-1])
-        weights, _, converged = _cv_solve(rows[train], label_idx[train], grid, cfg)
-        scores = (rows[~train] @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
+        train_rows = _design_buffer(np.count_nonzero(train), X.shape[1])
+        params = fit_normalization(X[train], out=train_rows[:, :-1])
+        weights, _, converged = _cv_solve(train_rows, label_idx[train], grid, cfg)
+        held_out = _design_buffer(np.count_nonzero(~train), X.shape[1])
+        apply_normalization(X[~train], params, out=held_out[:, :-1])
+        scores = (held_out @ weights.T).reshape(-1, len(grid), NUM_CLASSES)
+        del train_rows, held_out  # freed before the next fold allocates its own
         fold_accs.append((scores.argmax(axis=2) == label_idx[~train, None]).mean(axis=0))
         solves += [(grid[p // NUM_CLASSES], p % NUM_CLASSES, ok) for p, ok in enumerate(converged)]
     # one contiguous row per C, averaged as np.mean averages a list of floats
