@@ -51,7 +51,7 @@ print(f"\nOvR training accuracy on 7 clusters: {(predictions == labels).mean():.
 # --- picking C by stratified 5-fold cross-validation -------------------------
 # each fold re-fits the chain on its training rows, as train_ovr does
 grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
-best_c, accuracies = cross_validate_c(X7, labels, grid, folds=5, seed=9)
+best_c, accuracies = cross_validate_c(X7, labels, grid, cfg=SvmTrainConfig(seed=9), folds=5)
 for c, acc in zip(grid, accuracies):
     marker = "  <- best" if c == best_c else ""
     print(f"C={c:<12g} mean accuracy {acc:.4f}{marker}")

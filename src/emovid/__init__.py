@@ -51,11 +51,8 @@ from .normalize import (
     RangeScalerParams,
     StandardizerParams,
     apply_normalization,
-    apply_range_scaler,
-    apply_standardizer,
     fit_normalization,
     fit_range_scaler,
-    fit_standardizer,
     rootsift,
 )
 from .svm import (

@@ -201,7 +201,7 @@ def cmd_cv(args) -> int:
     if args.seed is not None:
         svm_cfg = replace(svm_cfg, seed=derive_seed(args.seed, "cv"))
     best_c, accuracies = cross_validate_c(X, labels, config.cv.grid, cfg=svm_cfg,
-                                          folds=config.cv.folds, seed=svm_cfg.seed)
+                                          folds=config.cv.folds)
     for c_value, acc in zip(config.cv.grid, accuracies):
         print(f"C={c_value:g}  mean_accuracy={acc:.4f}")
     print(f"best C: {best_c:g}")

@@ -115,18 +115,10 @@ def fit_range_scaler(train) -> RangeScalerParams:
     return RangeScalerParams(matrix.min(axis=0), matrix.max(axis=0))
 
 
-def apply_range_scaler(x, params: RangeScalerParams) -> np.ndarray:
-    """Map each column affinely onto [-1, 1] and clip; degenerate columns
-    (min == max at fit time) map to 0."""
-    arr = _as_array(x, (1, 2))
-    _check_dim(arr, params.dim)
-    out = np.empty(arr.shape)
-    _range_scale(arr, params, out)
-    return out
-
-
 def _range_scale(arr: np.ndarray, params: RangeScalerParams, out: np.ndarray) -> None:
-    """apply_range_scaler(arr, params), written into out."""
+    """Stage 1 into out: each column of arr mapped affinely from its
+    fitted [min, max] onto [-1, 1] and clipped there; a column degenerate
+    at fit time (min == max) maps to 0."""
     mins, maxs = params.mins, params.maxs
     with np.errstate(over="ignore"):  # an infinite span is a wide one, below
         span = maxs - mins
@@ -179,24 +171,10 @@ def _rootsift(buf: np.ndarray) -> None:
     buf *= sign
 
 
-def fit_standardizer(train) -> StandardizerParams:
-    """Per-column mean and population std over the training vectors."""
-    matrix = _as_array(train, (2,))
-    if matrix.shape[0] < 1:
-        raise ValueError("cannot fit a standardizer on an empty training set")
-    return StandardizerParams(matrix.mean(axis=0), matrix.std(axis=0))
-
-
-def apply_standardizer(x, params: StandardizerParams) -> np.ndarray:
-    """Center and scale each column; degenerate columns map to 0."""
-    out = np.array(_as_array(x, (1, 2)))
-    _check_dim(out, params.dim)
-    _standardize(out, params)
-    return out
-
-
 def _standardize(buf: np.ndarray, params: StandardizerParams) -> None:
-    """apply_standardizer(buf, params), in place."""
+    """Stage 3 in place: each column of buf centred on its fitted mean and
+    divided by its fitted std; a degenerate column (std below
+    DEGENERATE_STD) maps to 0."""
     degenerate = params.stds < DEGENERATE_STD
     buf -= params.means
     buf /= np.where(degenerate, 1.0, params.stds)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -419,24 +418,24 @@ def cross_validate_c(
     grid,
     cfg: SvmTrainConfig = SvmTrainConfig(),
     folds: int = 5,
-    seed: int = 0,
 ):
     """Pick the regularization constant by stratified k-fold CV.
 
-    For each fold the normalization chain is re-fit on that fold's
-    training portion only, and the fit writes that portion's output into
-    the fold's design buffer; _cv_solve trains the fold's models for the
-    whole grid at once on it. They score the held-out rows, which the
-    fitted chain maps into a buffer of their own. Returns (best C, list of
-    per-C mean accuracies aligned with the grid); ties go to the smallest
-    C. Solves stopped at cfg.max_epochs are logged as one warning for the
-    whole grid.
+    The folds come from stratified_folds seeded with cfg.seed, as does
+    each fold's pass order in _cv_solve. For each fold the normalization
+    chain is re-fit on that fold's training portion only, and the fit
+    writes that portion's output into the fold's design buffer; _cv_solve
+    trains the fold's models for the whole grid at once on it. They score
+    the held-out rows, which the fitted chain maps into a buffer of their
+    own. Returns (best C, list of per-C mean accuracies aligned with the
+    grid); ties go to the smallest C. Solves stopped at cfg.max_epochs are
+    logged as one warning for the whole grid.
     """
     grid = [replace(cfg, C=float(c)).C for c in grid]  # each C checked by SvmTrainConfig
     if not grid:
         raise ValueError("empty C grid")
     X, label_idx = _checked_inputs(X, labels)
-    fold_of = stratified_folds(label_idx, folds, seed)
+    fold_of = stratified_folds(label_idx, folds, cfg.seed)
 
     fold_accs = []
     solves = []
@@ -471,26 +470,6 @@ class _StoredModel:
     label_order: tuple[str, ...]
 
 
-def _without_retired_keys(doc: dict, version: int) -> dict:
-    """The model document without its config's retired keys: bias, and
-    format 1's normalization stage toggles. Each set what is now always
-    on, so it loads only when true."""
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        return doc
-    retired = {"bias": config.get("bias", True)}
-    if version == 1:
-        stages = config.get("normalization")
-        retired |= {f"normalization.{stage}": stages.get(stage) if isinstance(stages, dict)
-                    else stages for stage in ("range_scale", "rootsift", "standardize")}
-    for key, value in retired.items():
-        if value is not True:
-            raise ValueError(f"model key 'config.{key}': {reprlib.repr(value)}; "
-                             f"a format-{version} model loads only with it true")
-    dropped = {key.split(".")[0] for key in retired}
-    return {**doc, "config": {k: v for k, v in config.items() if k not in dropped}}
-
-
 def model_to_dict(model: LinearSvmModel) -> dict:
     norm = model.normalization
     return config_to_dict(_StoredModel(MODEL_FORMAT_VERSION, model.config, norm.range_scaler,
@@ -498,12 +477,12 @@ def model_to_dict(model: LinearSvmModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> LinearSvmModel:
-    """The model of a format-1 or format-2 document whose retired config
-    keys are all true, and whose parameters some fit could produce."""
+    """The model of a format-2 document whose parameters some fit could
+    produce."""
     version = doc.get("format_version")
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version: {version!r}")
-    stored = config_from_dict(_StoredModel, _without_retired_keys(doc, version), "model")
+    stored = config_from_dict(_StoredModel, doc, "model")
     # the standardizer is only fit on rootsift output, in [-1, 1], so its means
     # lie there; no deviation from them passes 2 (rounding is monotone), nor
     # does a std

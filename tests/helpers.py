@@ -5,9 +5,9 @@ import numpy as np
 from emovid.normalize import (
     DEGENERATE_STD,
     NormalizationParams,
+    StandardizerParams,
     fit_normalization,
     fit_range_scaler,
-    fit_standardizer,
 )
 
 
@@ -98,10 +98,12 @@ def reference_standardizer(x, params):
 
 
 def reference_fit_normalization(train):
-    """fit_normalization on the reference stages."""
+    """fit_normalization on the reference stages, the standardizer fit as
+    one whole-array mean and population std of their output."""
     range_scaler = fit_range_scaler(train)
-    return NormalizationParams(range_scaler, fit_standardizer(
-        reference_rootsift(reference_range_scaler(train, range_scaler))))
+    stage_2 = reference_rootsift(reference_range_scaler(train, range_scaler))
+    return NormalizationParams(range_scaler,
+                               StandardizerParams(stage_2.mean(axis=0), stage_2.std(axis=0)))
 
 
 def reference_apply_normalization(x, params):

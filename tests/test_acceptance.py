@@ -173,9 +173,7 @@ def _run_pipeline(tmp_dir, seed):
     y_train = [s.label for s in train]
     y_val = np.array([int(s.label) for s in val])
     grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
-    best_c, _ = cross_validate_c(
-        x_train, y_train, grid, cfg=SvmTrainConfig(seed=7), folds=5, seed=13
-    )
+    best_c, _ = cross_validate_c(x_train, y_train, grid, cfg=SvmTrainConfig(seed=13), folds=5)
     model = train_ovr(x_train, y_train, SvmTrainConfig(C=best_c, seed=7))
     scores = decision_scores(model, x_val)
     accuracy = float((scores.scores.argmax(axis=1) == y_val).mean())

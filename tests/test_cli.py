@@ -584,21 +584,14 @@ BAD_DOCUMENTS = [
     ("predict", model_doc(top={"range_scaler": None}), "range_scaler"),
     ("predict", model_doc(top={"weights": "abc"}), "weights"),
     ("predict", model_doc(top={"weights": [[0.0] * 3] * 6 + [[0.0] * 2]}), "weights"),
-    # format 1 with a stage off, and parameters of the wrong width (weights: 2 + bias)
-    ("predict", model_doc(top={"format_version": 1, "standardizer": None},
-                          config={"normalization": {"range_scale": True, "rootsift": True,
-                                                    "standardize": False}}),
-     "config.normalization.standardize"),
+    # parameters of the wrong width (weights: 2 + bias)
     ("predict", model_doc(top={"range_scaler": {"mins": [0.0], "maxs": [1.0]}}),
      "range_scaler.mins"),
     ("predict", model_doc(top={"standardizer": {"means": [0.0] * 3, "stds": [1.0] * 3}}),
      "standardizer.means"),
-    # the bias is always on: a retired config.bias loads only as true
+    # the bias is always on: config.bias is retired, an unknown key either way
     ("predict", model_doc(config={"bias": False}), "config.bias"),
-    ("predict", model_doc(top={"format_version": 1},
-                          config={"bias": False, "normalization": {
-                              "range_scale": True, "rootsift": True, "standardize": True}}),
-     "config.bias"),
+    ("predict", model_doc(config={"bias": True}), "config.bias"),
     # numbers beyond float64: a literal that parses to inf is refused by the
     # JSON reader, which names the literal; an integer, by the key's decoder
     ("train", '{"cv": {"grid": [1e400, 1.0]}}', "1e400"),
@@ -649,6 +642,18 @@ def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(key) in err
+
+
+def test_predict_refuses_a_format_1_model(capsys, tmp_path):
+    """Format 2 is the only model format: a format-1 file, here one with
+    a stage off and that stage's parameters left out, is one error line."""
+    doc = model_doc(top={"format_version": 1, "standardizer": None},
+                    config={"normalization": {"range_scale": True, "rootsift": True,
+                                              "standardize": False}})
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    err = run_fail(capsys, "predict", "--model", str(tmp_path / "model.json"),
+                   "--descriptors", str(tmp_path / "absent"), "--out", str(tmp_path / "s.csv"))
+    assert err == "error: unsupported model format_version: 1\n"
 
 
 def test_constant_column_warns_on_train(capsys, tmp_path):

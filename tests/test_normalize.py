@@ -18,15 +18,38 @@ from helpers import (
 
 from emovid.normalize import (
     _STD_BLOCK,
+    NormalizationParams,
+    StandardizerParams,
+    _column_stds,
+    _range_scale,
+    _standardize,
     apply_normalization,
-    apply_range_scaler,
-    apply_standardizer,
     fit_normalization,
     fit_range_scaler,
-    fit_standardizer,
     rootsift,
 )
 from emovid.svm import LinearSvmModel, SvmTrainConfig, model_from_dict, model_to_dict
+
+
+def range_scaled(x, params):
+    """The range-scaling stage alone, into a new array."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    _range_scale(x, params, out)
+    return out
+
+
+def standardizer_fit(train):
+    """The standardizer's fit alone, as fit_normalization takes it on the
+    rootsift stage's output: each column's mean and population std."""
+    return StandardizerParams(train.mean(axis=0), _column_stds(train))
+
+
+def standardized(x, params):
+    """The standardization stage alone, on a copy of x."""
+    out = np.array(x, dtype=np.float64)
+    _standardize(out, params)
+    return out
 
 
 def test_fit_range_scaler_examples():
@@ -54,12 +77,13 @@ def test_fit_range_scaler_matches_linear_scan_oracle():
 
 def test_apply_range_scaler_examples():
     params = fit_range_scaler(np.array([[-2.0], [2.0]]))
-    assert apply_range_scaler(np.array([1.0]), params)[0] == 0.5
-    assert apply_range_scaler(np.array([3.0]), params)[0] == 1.0  # clipped
+    assert range_scaled(np.array([1.0]), params)[0] == 0.5
+    assert range_scaled(np.array([3.0]), params)[0] == 1.0  # clipped
     degenerate = fit_range_scaler(np.array([[5.0]]))
-    assert apply_range_scaler(np.array([5.0]), degenerate)[0] == 0.0
+    assert range_scaled(np.array([5.0]), degenerate)[0] == 0.0
+    chain = NormalizationParams(params, StandardizerParams([0.0], [1.0]))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        apply_range_scaler(np.zeros(2), params)
+        apply_normalization(np.zeros(2), chain)
 
 
 def test_range_scaler_columns_wider_than_half_the_float64_maximum():
@@ -68,7 +92,7 @@ def test_range_scaler_columns_wider_than_half_the_float64_maximum():
     train = np.array([[-1e308, 1.0, 0.0], [1e308, 2.0, 1.5e308], [0.0, 3.0, 1e308]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = apply_range_scaler(train, fit_range_scaler(train))
+        scaled = range_scaled(train, fit_range_scaler(train))
         fit_normalization(train[:, :2])
     np.testing.assert_allclose(scaled, [[-1, -1, -1], [1, 0, 1], [0, 1, 1 / 3]], rtol=0,
                                atol=1e-15)
@@ -78,14 +102,14 @@ def test_range_scaler_columns_wider_than_half_the_float64_maximum():
     scaler = fit_range_scaler(rows)
     span = scaler.maxs[:3] - scaler.mins[:3]
     naive = np.clip(2.0 * (rows[:, :3] - scaler.mins[:3]) / span - 1.0, -1.0, 1.0)
-    assert apply_range_scaler(rows, scaler)[:, :3].tobytes() == naive.tobytes()
+    assert range_scaled(rows, scaler)[:, :3].tobytes() == naive.tobytes()
 
 
 def test_range_scaler_endpoints_attained_on_train():
     rng = np.random.default_rng(9)
     matrix = rng.standard_normal((20, 6))
     params = fit_range_scaler(matrix)
-    scaled = apply_range_scaler(matrix, params)
+    scaled = range_scaled(matrix, params)
     assert (scaled >= -1.0).all() and (scaled <= 1.0).all()
     np.testing.assert_array_equal(scaled.min(axis=0), -np.ones(6))
     np.testing.assert_array_equal(scaled.max(axis=0), np.ones(6))
@@ -125,21 +149,22 @@ def test_rootsift_unit_norm_and_sign_preservation():
 
 
 def test_fit_standardizer_examples():
-    params = fit_standardizer(np.array([[0.0], [2.0]]))
+    params = standardizer_fit(np.array([[0.0], [2.0]]))
     assert (params.means[0], params.stds[0]) == (1.0, 1.0)
-    params = fit_standardizer(np.full((5, 2), 3.25))
+    params = standardizer_fit(np.full((5, 2), 3.25))
     np.testing.assert_array_equal(params.means, [3.25, 3.25])
     np.testing.assert_array_equal(params.stds, [0.0, 0.0])
+    # the chain's fit refuses these before its standardizer sees them
     with pytest.raises(ValueError, match="empty"):
-        fit_standardizer(np.empty((0, 2)))
+        fit_normalization(np.empty((0, 2)))
     with pytest.raises(ValueError, match="ndim 2, got ndim=1"):
-        fit_standardizer(np.zeros(2))
+        fit_normalization(np.zeros(2))
 
 
 def test_fit_standardizer_matches_two_pass_oracle():
     rng = np.random.default_rng(77)
     matrix = rng.standard_normal((100, 5)) * 4 + 1
-    params = fit_standardizer(matrix)
+    params = standardizer_fit(matrix)
     for j in range(5):
         mean = sum(matrix[i, j] for i in range(100)) / 100.0
         var = sum((matrix[i, j] - mean) ** 2 for i in range(100)) / 100.0
@@ -148,19 +173,20 @@ def test_fit_standardizer_matches_two_pass_oracle():
 
 
 def test_apply_standardizer_examples():
-    params = fit_standardizer(np.array([[-1.0], [3.0]]))  # mean 1, std 2
-    assert apply_standardizer(np.array([5.0]), params)[0] == 2.0
-    degenerate = fit_standardizer(np.full((3, 1), 4.0))
-    assert apply_standardizer(np.array([9.0]), degenerate)[0] == 0.0
+    params = standardizer_fit(np.array([[-1.0], [3.0]]))  # mean 1, std 2
+    assert standardized(np.array([5.0]), params)[0] == 2.0
+    degenerate = standardizer_fit(np.full((3, 1), 4.0))
+    assert standardized(np.array([9.0]), degenerate)[0] == 0.0
+    chain = NormalizationParams(fit_range_scaler(np.zeros((1, 2))), params)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        apply_standardizer(np.zeros(2), params)
+        apply_normalization(np.zeros(2), chain)
 
 
 def test_standardized_train_has_zero_mean_unit_std():
     rng = np.random.default_rng(31)
     matrix = rng.standard_normal((40, 7)) * 3 - 2
-    params = fit_standardizer(matrix)
-    out = apply_standardizer(matrix, params)
+    params = standardizer_fit(matrix)
+    out = standardized(matrix, params)
     np.testing.assert_allclose(out.mean(axis=0), np.zeros(7), atol=1e-9)
     np.testing.assert_allclose(out.std(axis=0), np.ones(7), atol=1e-9)
 
@@ -180,13 +206,12 @@ def test_normalize_pipeline_rootsift_stage_unit_norm():
     rng = np.random.default_rng(21)
     matrix = rng.standard_normal((15, 6))
     params = fit_normalization(matrix)
-    stage_2 = rootsift(apply_range_scaler(matrix, params.range_scaler))
+    stage_2 = rootsift(range_scaled(matrix, params.range_scaler))
     np.testing.assert_allclose(np.linalg.norm(stage_2, axis=1), np.ones(15), atol=1e-9)
-    refit = fit_standardizer(stage_2)
-    assert params.standardizer.means.tobytes() == refit.means.tobytes()
-    assert params.standardizer.stds.tobytes() == refit.stds.tobytes()
+    assert params.standardizer.means.tobytes() == stage_2.mean(axis=0).tobytes()
+    assert params.standardizer.stds.tobytes() == stage_2.std(axis=0).tobytes()
     out = apply_normalization(matrix, params)
-    assert out.tobytes() == apply_standardizer(stage_2, params.standardizer).tobytes()
+    assert out.tobytes() == standardized(stage_2, params.standardizer).tobytes()
 
 
 def test_normalize_pipeline_single_train_video_maps_to_zero():
@@ -212,30 +237,32 @@ def test_normalize_pipeline_deterministic():
 
 @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
 def test_stage_params_are_set_exactly_when_the_stage_is_on(flags):
-    """A format-1 model stored its stages' on/off flags, and the parameters
-    of a stage exactly when it was on. The chain is always all three
-    stages, so such a file loads only when every flag is true; otherwise
-    one error names the first stage that is off."""
+    """The chain is always all three stages, so a model document holds the
+    parameters of both fitted stages: one with a stage's parameters null is
+    refused, naming the first such key. A format-1 document stored the
+    stages' on/off flags and a stage's parameters exactly when it was on;
+    it is refused whatever its flags."""
     matrix = np.random.default_rng(9).standard_normal((5, 3))
     fitted = fit_normalization(matrix)
     doc = model_to_dict(LinearSvmModel(np.zeros((7, 4)), SvmTrainConfig(), fitted))
     stages = dict(zip(("range_scale", "rootsift", "standardize"), flags))
-    doc["format_version"] = 1
-    doc["config"]["normalization"] = stages
-    for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize")):
-        if not stages[flag]:
-            doc[key] = None
-    if all(flags):
+    off = [key for key, flag in (("range_scaler", "range_scale"), ("standardizer", "standardize"))
+           if not stages[flag]]
+    for key in off:
+        doc[key] = None
+    if off:
+        with pytest.raises(ValueError, match=rf"^model key '{off[0]}': expected an object, "
+                                             r"got None$"):
+            model_from_dict(doc)
+    else:
         loaded = model_from_dict(doc).normalization
         for want, got in ((fitted.range_scaler, loaded.range_scaler),
                           (fitted.standardizer, loaded.standardizer)):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(vars(want).values(),
                                                                   vars(got).values()))
-    else:
-        first_off = next(stage for stage, on in stages.items() if not on)
-        with pytest.raises(ValueError, match=rf"^model key 'config\.normalization\.{first_off}': "
-                                             r"False; a format-1 model loads only"):
-            model_from_dict(doc)
+    format_1 = {**doc, "format_version": 1, "config": {**doc["config"], "normalization": stages}}
+    with pytest.raises(ValueError, match=r"^unsupported model format_version: 1$"):
+        model_from_dict(format_1)
 
 
 # finite float64 values, the extremes and subnormals drawn often
@@ -265,7 +292,7 @@ def test_the_chain_fits_any_finite_matrix_and_maps_finite_rows_to_finite_values(
             out = apply_normalization(x, params)
             assert out.shape == x.shape and np.isfinite(out).all()
     # the standardizer is fit on rootsift output only, whose values lie in [-1, 1]
-    assert np.abs(rootsift(apply_range_scaler(train, params.range_scaler))).max() <= 1.0
+    assert np.abs(rootsift(range_scaled(train, params.range_scaler))).max() <= 1.0
 
 
 def _same_bits(got, want):
@@ -327,10 +354,10 @@ def test_the_in_place_chain_is_bit_equal_to_the_reference(data):
         assert apply_normalization(own, params, out=own) is own and _same_bits(own, expected)
         # each stage alone, on raw values: rootsift sees rows whose L1 norm overflows
         assert _same_bits(rootsift(x), reference_rootsift(x))
-        assert _same_bits(apply_range_scaler(x, params.range_scaler),
+        assert _same_bits(range_scaled(x, params.range_scaler),
                           reference_range_scaler(x, params.range_scaler))
         scaled = reference_rootsift(reference_range_scaler(x, params.range_scaler))
-        assert _same_bits(apply_standardizer(scaled, params.standardizer),
+        assert _same_bits(standardized(scaled, params.standardizer),
                           reference_standardizer(scaled, params.standardizer))
 
 

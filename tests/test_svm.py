@@ -294,13 +294,13 @@ def test_stratified_folds_handle_class_smaller_than_fold_count():
 def test_cv_separable_data_reaches_high_accuracy():
     X, labels = cluster_labels_matrix(n_per_class=6, d=16, separation=12.0, sigma=0.5, seed=15)
     grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
-    best, accs = cross_validate_c(X, labels, grid, cfg=SvmTrainConfig(seed=2), folds=5, seed=8)
+    best, accs = cross_validate_c(X, labels, grid, cfg=SvmTrainConfig(seed=8), folds=5)
     assert accs[grid.index(best)] >= 0.99
 
 
 def test_cv_single_grid_element():
     X, labels = cluster_labels_matrix(n_per_class=3, d=4, separation=8.0, sigma=0.5, seed=1)
-    best, accs = cross_validate_c(X, labels, [0.5], folds=3, seed=2)
+    best, accs = cross_validate_c(X, labels, [0.5], cfg=SvmTrainConfig(seed=2), folds=3)
     assert best == 0.5 and len(accs) == 1
 
 
@@ -310,7 +310,7 @@ def test_cv_tie_breaks_to_smallest_c():
         [rng.standard_normal((10, 3)) + 8, rng.standard_normal((10, 3)) - 8]
     )
     labels = [0] * 10 + [3] * 10
-    best, accs = cross_validate_c(X, labels, [0.01, 1.0], folds=5, seed=4)
+    best, accs = cross_validate_c(X, labels, [0.01, 1.0], cfg=SvmTrainConfig(seed=4), folds=5)
     assert accs[0] == accs[1]
     assert best == 0.01
 
@@ -328,7 +328,7 @@ def test_cv_label_noise_prefers_small_c():
     flip = rng.random(2 * n_per) < 0.2
     labels = np.where(flip, 3 - labels, labels)
     grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
-    best, accs = cross_validate_c(X, labels, grid, cfg=SvmTrainConfig(seed=5), folds=5, seed=7)
+    best, accs = cross_validate_c(X, labels, grid, cfg=SvmTrainConfig(seed=7), folds=5)
     # exhaustive check over the grid: best really is the argmax with ties
     # broken toward the smallest C
     top = max(accs)
@@ -351,11 +351,11 @@ def test_cv_input_validation():
         cross_validate_c(X[:9], labels, [1.0])
 
 
-def _per_problem_cv_accuracies(X, labels, grid, cfg, folds, seed):
+def _per_problem_cv_accuracies(X, labels, grid, cfg, folds):
     """cross_validate_c as one train_ovr and one decision_scores per C and
     fold, each class solved on its own by train_binary."""
     label_idx = np.asarray(labels)
-    fold_of = stratified_folds(label_idx, folds, seed)
+    fold_of = stratified_folds(label_idx, folds, cfg.seed)
     accuracies = []
     for c_value in grid:
         fold_accs = []
@@ -383,9 +383,9 @@ def _with_zero_rows(X, zero_rows):
 def test_cv_kernel_matches_per_problem_solves(n_per_class, d, separation, zero_rows):
     X, labels = cluster_labels_matrix(n_per_class, d, separation, sigma=1.0, seed=3)
     X = _with_zero_rows(X, zero_rows)
-    cfg = SvmTrainConfig(seed=4)
-    _, accuracies = cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=4, seed=9)
-    assert accuracies == _per_problem_cv_accuracies(X, labels, CV_GRID, cfg, folds=4, seed=9)
+    cfg = SvmTrainConfig(seed=9)
+    _, accuracies = cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=4)
+    assert accuracies == _per_problem_cv_accuracies(X, labels, CV_GRID, cfg, folds=4)
     assert min(accuracies) < 1.0  # the grid is not flat here
 
 
@@ -445,11 +445,12 @@ def test_cv_kernel_is_deterministic_and_checks_its_input():
     second = _cv_solve(rows.copy(), np.asarray(labels), CV_GRID, cfg)
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
-    assert (cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1)
-            == cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1))
+    cv_cfg = replace(cfg, seed=1)
+    assert (cross_validate_c(X, labels, CV_GRID, cfg=cv_cfg, folds=3)
+            == cross_validate_c(X, labels, CV_GRID, cfg=cv_cfg, folds=3))
     X[3, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite value in X"):
-        cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=1)
+        cross_validate_c(X, labels, CV_GRID, cfg=cv_cfg, folds=3)
 
 
 @pytest.mark.parametrize("zero_rows", [True, False])
@@ -461,7 +462,7 @@ def test_cv_validation_scores_equal_the_folds_model_scores(zero_rows, monkeypatc
     X, labels = cluster_labels_matrix(n_per_class=5, d=12, separation=2.0, sigma=1.0, seed=3)
     X = _with_zero_rows(X, zero_rows)
     label_idx = np.asarray(labels)
-    cfg = SvmTrainConfig(seed=4)
+    cfg = SvmTrainConfig(seed=9)
     kernel_weights = []
 
     def recording_cv_solve(*args):
@@ -470,8 +471,8 @@ def test_cv_validation_scores_equal_the_folds_model_scores(zero_rows, monkeypatc
         return result
 
     monkeypatch.setattr("emovid.svm._cv_solve", recording_cv_solve)
-    _, accuracies = cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3, seed=9)
-    fold_of = stratified_folds(labels, 3, seed=9)
+    _, accuracies = cross_validate_c(X, labels, CV_GRID, cfg=cfg, folds=3)
+    fold_of = stratified_folds(labels, 3, cfg.seed)
     model_accuracies = np.zeros((3, len(CV_GRID)))
     for k, weights in enumerate(kernel_weights):
         train = fold_of != k
@@ -600,39 +601,24 @@ def test_library_trained_model_saves_loads_and_applies(tmp_path):
     assert decision_scores(loaded, X).scores.tobytes() == decision_scores(model, X).scores.tobytes()
 
 
-def _earlier_document(model: LinearSvmModel, version: int) -> dict:
-    """The model's document as an earlier writer wrote it with the default
-    config: config.bias after the solver keys, then, in format 1,
-    config.normalization with every stage on."""
-    doc = model_to_dict(model)
-    config = {**doc["config"], "bias": True}
-    if version == 1:
-        config["normalization"] = {"range_scale": True, "rootsift": True, "standardize": True}
-    return {**doc, "format_version": version, "config": config}
-
-
-def test_a_format_1_model_loads_and_scores_alike(tmp_path):
-    """The earlier writers' format-1 and format-2 files load, score alike,
-    and save back as this writer's format 2, without config.bias."""
+def test_a_format_1_model_and_a_config_bias_are_refused(tmp_path):
+    """Format 2 is the only model format, and config.bias is retired: an
+    earlier writer's format-1 file, with every stage on, and a format-2
+    file with config.bias true are each refused with one error."""
     X, labels = cluster_labels_matrix(n_per_class=4, d=6, separation=6.0, sigma=1.0, seed=11)
     model = train_ovr(X, labels, SvmTrainConfig(C=0.5, seed=3))
     save_model(model, tmp_path / "v2.json")
     assert '"bias"' not in (tmp_path / "v2.json").read_text()
-    earlier_config = {
-        1: '"seed": 3, "bias": true, "normalization": {"range_scale": true, "rootsift": true, '
-           '"standardize": true}}, "range_scaler": {"mins": [',
-        2: '"seed": 3, "bias": true}, "range_scaler": {"mins": [',
-    }
-    for version, text in earlier_config.items():
-        path = tmp_path / f"earlier_v{version}.json"
-        write_json(_earlier_document(model, version), path)
-        assert text in path.read_text()
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        assert (decision_scores(loaded, X).scores.tobytes()
-                == decision_scores(model, X).scores.tobytes())
-        save_model(loaded, tmp_path / "resaved.json")
-        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
+    doc = model_to_dict(model)
+    stages = {"range_scale": True, "rootsift": True, "standardize": True}
+    format_1 = {**doc, "format_version": 1,
+                "config": {**doc["config"], "bias": True, "normalization": stages}}
+    with_bias = {**doc, "config": {**doc["config"], "bias": True}}
+    for document, message in ((format_1, r"^unsupported model format_version: 1$"),
+                              (with_bias, r"^unknown model keys: \['config\.bias'\]$")):
+        write_json(document, tmp_path / "earlier.json")
+        with pytest.raises(ValueError, match=message):
+            load_model(tmp_path / "earlier.json")
 
 
 @pytest.mark.parametrize("zero_rows", (False, True))
@@ -688,7 +674,7 @@ def test_scaler_columns_must_match_the_weights(norm_config, key):
 def test_model_load_rejects_bad_documents():
     model = LinearSvmModel(np.zeros((7, 3)), SvmTrainConfig(), fitted_chain(2))
     doc = model_to_dict(model)
-    for version in (0, 3, "2", None):
+    for version in (0, 1, 3, "2", None):
         with pytest.raises(ValueError, match="unsupported model format_version"):
             model_from_dict(dict(doc, format_version=version))
     bad_order = dict(doc, label_order=list(reversed(doc["label_order"])))
