@@ -46,10 +46,7 @@ def train_stream(seed, work_dir):
         split[sample.split].append(sample)
 
     def matrix(samples):
-        return np.stack(
-            [build_video_descriptor(s.streams["frames"], STAT_STAR).features
-             for s in samples]
-        )
+        return np.stack([build_video_descriptor(s.streams["frames"], STAT_STAR) for s in samples])
 
     x_train, x_val = matrix(split["train"]), matrix(split["val"])
     y_train = [s.label for s in split["train"]]

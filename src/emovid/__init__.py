@@ -26,7 +26,6 @@ from .core import (
     EmotionLabel,
     FrameFeatureSequence,
     ScoreMatrix,
-    VideoDescriptor,
     VideoSample,
     label_from_name,
 )

@@ -1,10 +1,12 @@
-"""Collapse a frame-feature sequence into fixed-length per-video blocks.
+"""Collapse a frame-feature sequence into one fixed-length descriptor row.
 
-Aggregators: per-dimension mean, population std, min, max, and the mean
-magnitude of each dimension's length-T discrete Fourier transform. The
-statistical aggregators treat a video as a set of frames: their output is
-bit-identical under any frame permutation. The fft block is the one
-order-sensitive summary.
+The variants of each frame are averaged first, giving one video's (T, d)
+frame matrix. Each block reduces that matrix's columns to d values:
+per-dimension mean, population std, min, max, and the mean magnitude of
+each dimension's length-T discrete Fourier transform. The statistical
+blocks treat a video as a set of frames: their output is bit-identical
+under any frame permutation. The fft block is the one order-sensitive
+summary.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFeatureSequence, VideoDescriptor
-
-AGGREGATOR_NAMES = ("mean", "std", "min", "max", "fft")
+from .core import FrameFeatureSequence
 
 # the STAT* preset: mean, std and min (STAT adds max)
 STAT_STAR_AGGREGATORS = ("mean", "std", "min")
@@ -47,52 +47,39 @@ def average_variants(seq: FrameFeatureSequence) -> FrameFeatureSequence:
     return FrameFeatureSequence(seq.video_id, averaged)
 
 
-def _single_variant(seq: FrameFeatureSequence) -> np.ndarray:
-    """Return the (T, d) frame matrix; aggregators require V=1."""
-    if seq.num_variants != 1:
-        raise ValueError(
-            f"aggregator requires V=1, got V={seq.num_variants} "
-            f"(apply average_variants first)"
-        )
-    return seq.frames[:, 0, :]
-
-
-def aggregate_mean(seq: FrameFeatureSequence) -> np.ndarray:
-    """Per-dimension arithmetic mean over frames."""
-    frames = _single_variant(seq)
+def aggregate_mean(frames: np.ndarray) -> np.ndarray:
+    """Per-dimension arithmetic mean over the rows of a (T, d) frame matrix."""
     # column sort fixes the reduction order, so any frame permutation
     # yields a bit-identical sum
     return np.sort(frames, axis=0).mean(axis=0)
 
 
-def aggregate_std(seq: FrameFeatureSequence) -> np.ndarray:
+def aggregate_std(frames: np.ndarray) -> np.ndarray:
     """Per-dimension population standard deviation (divide by T) over frames."""
-    frames = _single_variant(seq)
     mean = np.sort(frames, axis=0).mean(axis=0)
     sq_dev = (frames - mean) ** 2
     return np.sqrt(np.sort(sq_dev, axis=0).mean(axis=0))
 
 
-def aggregate_min(seq: FrameFeatureSequence) -> np.ndarray:
+def aggregate_min(frames: np.ndarray) -> np.ndarray:
     """Per-dimension minimum over frames."""
     # min(-0.0, 0.0) is whichever comes first; adding 0.0 makes every zero
     # +0.0, so any frame permutation yields the same bits
-    return _single_variant(seq).min(axis=0) + 0.0
+    return frames.min(axis=0) + 0.0
 
 
-def aggregate_max(seq: FrameFeatureSequence) -> np.ndarray:
+def aggregate_max(frames: np.ndarray) -> np.ndarray:
     """Per-dimension maximum over frames (zeros as in aggregate_min)."""
-    return _single_variant(seq).max(axis=0) + 0.0
+    return frames.max(axis=0) + 0.0
 
 
-def aggregate_fft_mean(seq: FrameFeatureSequence) -> np.ndarray:
+def aggregate_fft_mean(frames: np.ndarray) -> np.ndarray:
     """Mean DFT magnitude per dimension.
 
-    For each feature dimension, take its length-T frame sequence, compute
-    the length-T discrete Fourier transform (no padding or resampling),
-    and average the complex magnitudes over all T bins, DC included.
+    For each column of the (T, d) frame matrix, compute the length-T
+    discrete Fourier transform (no padding or resampling), and average the
+    complex magnitudes over all T bins, DC included.
     """
-    frames = _single_variant(seq)
     spectrum = np.fft.fft(frames, axis=0)
     return np.abs(spectrum).mean(axis=0)
 
@@ -104,20 +91,21 @@ _AGGREGATORS = {
     "max": aggregate_max,
     "fft": aggregate_fft_mean,
 }
+AGGREGATOR_NAMES = tuple(_AGGREGATORS)
 
 
-def build_video_descriptor(
-    seq: FrameFeatureSequence, cfg: AggregationConfig
-) -> VideoDescriptor:
-    """Concatenate the configured aggregator blocks into one descriptor.
+def build_video_descriptor(seq: FrameFeatureSequence, cfg: AggregationConfig) -> np.ndarray:
+    """Concatenate the configured blocks into one video's descriptor row.
 
-    The variants are averaged before every aggregator. Block k, the one of
-    cfg.aggregators[k], fills columns k*d to (k+1)*d - 1, so the output
-    length is len(cfg.aggregators) * d.
+    The variants are averaged before every block. Block k, the one of
+    cfg.aggregators[k], fills columns k*d to (k+1)*d - 1, so the row's
+    length is len(cfg.aggregators) * d. A block that overflows raises ValueError.
     """
-    work = average_variants(seq)
-    blocks = [_AGGREGATORS[name](work) for name in cfg.aggregators]
-    return VideoDescriptor(seq.video_id, np.concatenate(blocks))
+    frames = average_variants(seq).frames[:, 0, :]
+    row = np.concatenate([_AGGREGATORS[name](frames) for name in cfg.aggregators])
+    if not np.isfinite(row).all():
+        raise ValueError(f"non-finite value in descriptor of {seq.video_id!r}")
+    return row
 
 
 def shuffle_frames(seq: FrameFeatureSequence, seed: int) -> FrameFeatureSequence:

@@ -170,7 +170,7 @@ def cmd_aggregate(args) -> int:
                 kind = kind or sniff_stream_kind(path)
                 if kind == "frames":
                     seq = load_frame_features(path, video_id=entry.video_id)
-                    descriptor = build_video_descriptor(seq, agg_cfg).features
+                    descriptor = build_video_descriptor(seq, agg_cfg)
                 elif written.get(stream_name):
                     raise ValueError(f"aggregation settings apply to frame files only, "
                                      f"and {str(path)!r} holds one vector")

@@ -121,27 +121,6 @@ class VideoSample:
 
 
 @dataclass(frozen=True, eq=False)
-class VideoDescriptor:
-    """Fixed-length aggregated feature vector for one video; all entries
-    finite (an aggregator can overflow on finite frames)."""
-
-    video_id: str
-    features: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.features)
-        if arr.ndim != 1:
-            raise ValueError(f"descriptor must be 1-D, got ndim={arr.ndim}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite value in descriptor of {self.video_id!r}")
-        object.__setattr__(self, "features", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.features.size
-
-
-@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Per-video x per-class real scores; rows follow video_ids order."""
 

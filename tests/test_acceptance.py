@@ -74,7 +74,7 @@ def test_criterion_2_dimension_arithmetic():
 
         def dim_of(d, cfg):
             seq = FrameFeatureSequence.from_matrix("v", rng.standard_normal((3, d)))
-            return build_video_descriptor(seq, cfg).dim
+            return build_video_descriptor(seq, cfg).size
 
         assert dim_of(4096, AggregationConfig(("mean", "std"))) == 8192
         assert dim_of(1024, STAT_STAR) == 3072
@@ -104,14 +104,14 @@ def test_criterion_4_permutation_invariance():
             seq = FrameFeatureSequence.from_matrix(
                 "v", rng.standard_normal((t_len, 8)) * rng.uniform(0.1, 50)
             )
-            base = build_video_descriptor(seq, STAT).features
+            base = build_video_descriptor(seq, STAT)
             for shuffle_seed in range(10):
                 shuffled = shuffle_frames(seq, shuffle_seed)
-                assert (build_video_descriptor(shuffled, STAT).features == base).all()
-        a = FrameFeatureSequence.from_matrix("a", np.array([[1.0], [-1.0], [1.0], [-1.0]]))
-        b = FrameFeatureSequence.from_matrix("b", np.array([[1.0], [1.0], [-1.0], [-1.0]]))
-        assert (build_video_descriptor(a, STAT).features
-                == build_video_descriptor(b, STAT).features).all()
+                assert (build_video_descriptor(shuffled, STAT) == base).all()
+        a = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        b = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        assert (build_video_descriptor(FrameFeatureSequence.from_matrix("a", a), STAT)
+                == build_video_descriptor(FrameFeatureSequence.from_matrix("b", b), STAT)).all()
         assert aggregate_fft_mean(a)[0] != aggregate_fft_mean(b)[0]
 
 
@@ -121,8 +121,7 @@ def test_criterion_5_dft_against_direct_oracle():
         for _ in range(1000):
             t_len = int(rng.integers(1, 65))
             signal = rng.standard_normal(t_len) * rng.uniform(0.1, 10)
-            seq = FrameFeatureSequence.from_matrix("v", signal[:, None])
-            got = aggregate_fft_mean(seq)[0]
+            got = aggregate_fft_mean(signal[:, None])[0]
             spectrum = oracle_dft(signal)
             want = float(np.abs(spectrum).mean())
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -165,10 +164,10 @@ def _run_pipeline(tmp_dir, seed):
     train = [s for s in dataset.samples if s.split == "train"]
     val = [s for s in dataset.samples if s.split == "val"]
     x_train = np.stack(
-        [build_video_descriptor(s.streams["frames"], STAT_STAR).features for s in train]
+        [build_video_descriptor(s.streams["frames"], STAT_STAR) for s in train]
     )
     x_val = np.stack(
-        [build_video_descriptor(s.streams["frames"], STAT_STAR).features for s in val]
+        [build_video_descriptor(s.streams["frames"], STAT_STAR) for s in val]
     )
     y_train = [s.label for s in train]
     y_val = np.array([int(s.label) for s in val])
@@ -206,7 +205,7 @@ def _stream_scores(tmp_dir, seed, counts, separation, sigma):
     for sample in dataset.samples:
         by_split.setdefault(sample.split, []).append(sample)
     x_train = np.stack(
-        [build_video_descriptor(s.streams["frames"], STAT_STAR).features
+        [build_video_descriptor(s.streams["frames"], STAT_STAR)
          for s in by_split["train"]]
     )
     model = train_ovr(
@@ -217,7 +216,7 @@ def _stream_scores(tmp_dir, seed, counts, separation, sigma):
         if split not in by_split:
             continue
         x = np.stack(
-            [build_video_descriptor(s.streams["frames"], STAT_STAR).features
+            [build_video_descriptor(s.streams["frames"], STAT_STAR)
              for s in by_split[split]]
         )
         scores = decision_scores(model, x, video_ids=[s.video_id for s in by_split[split]])

@@ -8,7 +8,6 @@ from emovid.core import (
     EmotionLabel,
     FrameFeatureSequence,
     ScoreMatrix,
-    VideoDescriptor,
     VideoSample,
     label_from_name,
 )
@@ -66,15 +65,6 @@ def test_video_sample_label_rules():
         VideoSample("v", "train", None, {"frames": seq})
     with pytest.raises(ValueError, match="unknown split"):
         VideoSample("v", "validation", EmotionLabel.HAPPY, {})
-
-
-def test_video_descriptor_validation():
-    d = VideoDescriptor("v", np.arange(6.0))
-    assert d.dim == 6
-    with pytest.raises(ValueError, match="1-D"):
-        VideoDescriptor("v", np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="non-finite"):
-        VideoDescriptor("v", np.array([1.0, np.inf]))
 
 
 def test_score_matrix_validation():

@@ -80,7 +80,7 @@ def test_separated_classes_are_learnable(tmp_path):
     dataset = generate_dataset(cfg, tmp_path)
     agg = AggregationConfig()
     X = np.stack(
-        [build_video_descriptor(s.streams["frames"], agg).features for s in dataset.samples]
+        [build_video_descriptor(s.streams["frames"], agg) for s in dataset.samples]
     )
     labels = [s.label for s in dataset.samples]
     model = train_ovr(X, labels, SvmTrainConfig(C=1.0, seed=1))
@@ -97,13 +97,13 @@ def test_noiseless_pipeline_is_perfect_on_every_split(tmp_path):
     agg = AggregationConfig()
     train = [s for s in dataset.samples if s.split == "train"]
     x_train = np.stack(
-        [build_video_descriptor(s.streams["frames"], agg).features for s in train]
+        [build_video_descriptor(s.streams["frames"], agg) for s in train]
     )
     model = train_ovr(x_train, [s.label for s in train], SvmTrainConfig(seed=1))
     for split in ("train", "val", "test"):
         samples = [s for s in dataset.samples if s.split == split]
         x = np.stack(
-            [build_video_descriptor(s.streams["frames"], agg).features for s in samples]
+            [build_video_descriptor(s.streams["frames"], agg) for s in samples]
         )
         predicted = decision_scores(model, x).scores.argmax(axis=1)
         truth = np.array([int(s.label) for s in samples])
