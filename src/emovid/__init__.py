@@ -6,6 +6,16 @@ range scaling -> rootsift -> standardization -> one-vs-rest linear SVM
 score ensembling across streams -> class-prior weighting -> argmax.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads (the BLAS reads these only then): a
+# product's summation order, and with it every score, model and cv.json byte,
+# then does not depend on the CPU count. A caller that imports numpy first
+# keeps its own setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
+
 from .aggregate import (
     STAT_STAR_AGGREGATORS,
     AggregationConfig,

@@ -11,10 +11,12 @@ by coordinate descent on the L1-hinge dual
 cycling coordinates in a freshly shuffled order each pass and shrinking
 the set of coordinates it visits (Hsieh et al. 2008). Each update is the
 exact single-variable minimizer clipped to the box, so the dual objective
-never decreases. Multiclass is one-vs-rest; model selection is
-stratified k-fold cross-validation over a grid of C values with the
-normalization chain re-fit inside every fold, each fold's whole grid
-solved at once in Gram space (_cv_solve). train_ovr fits the chain on
+never decreases. Every pass and fold order is a _permutation drawn from a
+random.Random seeded with the config's seed, so no solve loads
+numpy.random (which imports OpenSSL). Multiclass is one-vs-rest; model
+selection is stratified k-fold cross-validation over a grid of C values
+with the normalization chain re-fit inside every fold, each fold's whole
+grid solved at once in Gram space (_cv_solve). train_ovr fits the chain on
 the rows it trains on, as each fold does, and the model carries it. Raw
 rows are checked once (_finite_rows); every solve and score works on the
 chain's output in one buffer ending in the constant-1 bias feature
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +44,7 @@ from .normalize import (
     fit_normalization,
 )
 from .ingest import read_json, write_json
-from .util import config_from_dict, config_to_dict
+from .util import FieldError, config_from_dict, config_to_dict
 
 MODEL_FORMAT_VERSION = 2
 
@@ -60,11 +63,13 @@ class SvmTrainConfig:
 
     def __post_init__(self):
         if not 0 < self.C < math.inf:
-            raise ValueError(f"C must be positive and finite, got {self.C}")
+            raise FieldError("C", f"must be positive and finite, got {self.C}")
         if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+            raise FieldError("tolerance", f"must be positive and finite, got {self.tolerance}")
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise FieldError("max_epochs", f"must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:  # random.Random(-s) would quietly equal random.Random(s)
+            raise FieldError("seed", f"must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +151,14 @@ def _checked_inputs(X, labels):
     return X, label_idx
 
 
+def _permutation(rng: random.Random, n: int) -> np.ndarray:
+    """A uniformly random order of range(n): the stable argsort of n 64-bit
+    keys cut from one rng.getrandbits(64 * n) call, key k being bits
+    64k..64k+63. One call per pass, where random.shuffle makes n."""
+    keys = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+    return np.argsort(keys, kind="stable")
+
+
 def _projected_gradient(alpha, grad, C):
     """The gradient grad_i = y_i w.x_i - 1 of the minimized dual, projected
     onto the box [0, C] at alpha; every entry is 0 exactly at a KKT point."""
@@ -164,12 +177,12 @@ def train_binary(
 
     X is solved as given, and its last column must be the constant-1 bias
     feature, as in a _design_buffer. Each pass visits the active
-    coordinates in a fresh order drawn from a generator seeded with
-    cfg.seed. Passes shrink the active set (Hsieh et al. 2008): a
-    coordinate at 0 whose gradient exceeds the previous pass's largest
-    projected gradient, or at C below its smallest, is set aside.
-    Once the active coordinates all meet cfg.tolerance every coordinate is
-    restored. After a full pass whose largest projected-gradient violation
+    coordinates in a fresh order, a _permutation drawn from one
+    random.Random(cfg.seed) for the whole solve. Passes shrink the active
+    set (Hsieh et al. 2008): a coordinate at 0 whose gradient exceeds the
+    previous pass's largest projected gradient, or at C below its smallest,
+    is set aside. Once the active coordinates all meet cfg.tolerance every
+    coordinate is restored. After a full pass whose largest projected-gradient violation
     is below cfg.tolerance, w is recomputed from alpha and the violation
     with it; the solve converges only if that is below cfg.tolerance too,
     and otherwise goes on from the recomputed w. Work is capped at
@@ -199,7 +212,7 @@ def train_binary(
     sq_norms = np.einsum("ij,ij->i", X, X).tolist()  # each >= 1: the constant-1 feature
     alpha = [0.0] * n
     w = np.zeros(X.shape[1])
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
 
     dual_prev = 0.0  # dual value at alpha = 0
     dual_trace = []
@@ -210,7 +223,7 @@ def train_binary(
     # shrinking thresholds from the previous pass; infinite shrinks nothing
     shrink_above, shrink_below = math.inf, -math.inf
     while evaluations < budget:
-        order = [active[k] for k in rng.permutation(len(active)).tolist()]
+        order = [active[k] for k in _permutation(rng, len(active)).tolist()]
         order = order[: budget - evaluations]
         evaluations += len(order)
         full_pass = len(order) == n
@@ -282,10 +295,10 @@ def train_ovr(X: np.ndarray, labels, cfg: SvmTrainConfig):
     independent class-vs-rest problems with identical config on its output.
 
     The fit writes the chain's output into one _design_buffer, the rows
-    that all 7 train_binary calls solve. Each class gets a fresh generator
-    seeded with cfg.seed + class index, so row c of the weights equals
-    train_binary(rows, y_c, cfg with seed cfg.seed + c). Returns the model;
-    solves stopped at cfg.max_epochs are logged as one warning.
+    that all 7 train_binary calls solve. Each class draws its pass orders
+    from random.Random(cfg.seed + class index), so row c of the weights
+    equals train_binary(rows, y_c, cfg with seed cfg.seed + c). Returns the
+    model; solves stopped at cfg.max_epochs are logged as one warning.
     """
     X, label_idx = _checked_inputs(X, labels)
     rows = _design_buffer(*X.shape)
@@ -344,9 +357,10 @@ def decision_scores(model: LinearSvmModel, X: np.ndarray, video_ids=None) -> Sco
 def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     """Assign each sample to a fold, stratified by label.
 
-    Within each class, samples are taken in data order, shuffled with the
-    seeded generator, then dealt round-robin; a global deal counter keeps
-    fold sizes balanced.
+    Within each class, samples are taken in data order, put in a
+    _permutation's order (one random.Random(seed) for all classes, in class
+    order), then dealt round-robin; a global deal counter keeps fold sizes
+    balanced. A negative seed is refused.
     """
     label_idx = class_indices(labels)
     n = label_idx.size
@@ -354,14 +368,16 @@ def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise ValueError(f"cannot build {folds} folds from {n} samples")
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
     fold_of = np.empty(n, dtype=np.int64)
     counter = 0
     for c in range(NUM_CLASSES):
         members = np.flatnonzero(label_idx == c)
         if members.size == 0:
             continue
-        members = members[rng.permutation(members.size)]
+        members = members[_permutation(rng, members.size)]
         for i in members:
             fold_of[i] = counter % folds
             counter += 1
@@ -376,12 +392,13 @@ def _cv_solve(X, class_idx, grid, cfg: SvmTrainConfig):
     problems share the Gram matrix K = X X^T (8 n^2 bytes), and each keeps
     F = (alpha * Y) K, the decision values w_p . x_i, so a coordinate step
     costs O(n) per problem whatever the width. Each pass visits every
-    coordinate in one order, shared by the problems and drawn from a
-    generator seeded with cfg.seed, and applies the exact clipped update to
-    each unfinished problem's alpha[i]. After a pass F is recomputed
-    exactly, and a problem leaves once its largest |projected gradient|
-    there is below cfg.tolerance, or after cfg.max_epochs passes. Returns (weights, alpha, converged), one
-    row per problem: the weights (alpha * Y)^T X, the duals over the
+    coordinate in one order, shared by the problems: a _permutation drawn
+    from one random.Random(cfg.seed) for the whole fold. It applies the
+    exact clipped update to each unfinished problem's alpha[i]. After a
+    pass F is recomputed exactly, and a problem leaves once its largest
+    |projected gradient| there is below cfg.tolerance, or after
+    cfg.max_epochs passes. Returns (weights, alpha, converged), one row per
+    problem: the weights (alpha * Y)^T X, the duals over the
     fold's rows, and whether the problem converged.
     """
     K = X @ X.T
@@ -394,9 +411,9 @@ def _cv_solve(X, class_idx, grid, cfg: SvmTrainConfig):
     converged = np.zeros(C.size, dtype=bool)
     active = np.arange(C.size)
     a, y, c, f = alpha, Y, C, np.zeros(Y.shape)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     for _ in range(cfg.max_epochs):
-        for i in rng.permutation(len(diag)).tolist():
+        for i in _permutation(rng, len(diag)).tolist():
             yi, ai = y[i], a[i]
             new_a = np.minimum(np.maximum(ai - (yi * f[i] - 1.0) / diag[i], 0.0), c)
             f += K[i, :, None] * ((new_a - ai) * yi)

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import reprlib
 import types
 import typing
 
 import numpy as np
+
+try:  # CPython's built-in SHA-256; hashlib would load OpenSSL into every process
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def config_from_dict(cls, doc, what: str = "config", prefix: str = ""):
@@ -22,8 +29,9 @@ def config_from_dict(cls, doc, what: str = "config", prefix: str = ""):
     accept integers. A field's JSON key is its name, or the "key" in its
     metadata (field(metadata={"key": "id"})). Missing keys take the field
     defaults; a field without a default must be present. An unknown,
-    missing or ill-typed key raises ValueError naming the dotted key
-    (prefix + key); what names the document in the message.
+    missing or ill-typed key, or a value that cls refuses with a
+    FieldError, raises ValueError naming the dotted key (prefix + key);
+    what names the document in the message.
     """
     if not isinstance(doc, dict):
         where = f"{what} key {prefix[:-1]!r}" if prefix else what
@@ -36,8 +44,23 @@ def config_from_dict(cls, doc, what: str = "config", prefix: str = ""):
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if required and key not in doc:
             raise ValueError(f"{what} key {prefix + key!r}: missing")
-    return cls(**{schema[key][0].name: decode_value(value, schema[key][1], what, prefix + key)
-                  for key, value in doc.items()})
+    fields = {schema[key][0].name: decode_value(value, schema[key][1], what, prefix + key)
+              for key, value in doc.items()}
+    try:
+        return cls(**fields)
+    except FieldError as exc:
+        key = next(k for k, (f, _) in schema.items() if f.name == exc.field)
+        raise ValueError(f"{what} key {prefix + key!r}: {exc.message}") from None
+
+
+class FieldError(ValueError):
+    """A value that a dataclass's __post_init__ refuses for one field; its
+    text is "<field> <message>", and config_from_dict names the field's
+    dotted key instead."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field, self.message = field, message
 
 
 @functools.cache
@@ -107,7 +130,10 @@ def _encode(value):
 
 
 def derive_seed(base: int, *labels: str) -> int:
-    """Mix a base seed with stage labels into a fresh 63-bit seed."""
+    """Mix a base seed with stage labels into a fresh 63-bit seed: the top
+    63 bits of the SHA-256 of "base|label|...". The digest comes from
+    CPython's built-in module where there is one, so deriving a seed loads
+    no OpenSSL; every seed equals hashlib.sha256's."""
     text = "|".join([str(int(base)), *labels])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1

@@ -561,6 +561,8 @@ BAD_DOCUMENTS = [
     ("train", {"streams": []}, "streams"),
     ("train", {"svm": 3}, "svm"),
     ("train", {"cv": {"grid": 5}}, "cv.grid"),
+    # a negative seed would quietly draw the orders of its absolute value
+    ("train", {"svm": {"seed": -1}}, "svm.seed"),
     ("synth", {"frames_range": "ab"}, "frames_range"),
     ("synth", {"dim": "x"}, "dim"),
     ("synth", {"counts": 3}, "counts"),

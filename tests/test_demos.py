@@ -1,7 +1,7 @@
 """Demos 01, 02, 04 and 05 run as scripts and print no failed check. As
 their own processes on one 2-CPU host, 01 took 0.24 s, 02 0.41 s, 04
-0.33 s and 05 1.7 s. Demo 03 is left out: it took 13 s, cross-validating
-2^-8..2^6 at n > D, where 15 of its 280 kernel problems run to
+0.33 s and 05 1.7 s. Demo 03 is left out: it took 13-20 s, cross-validating
+2^-8..2^6 at n > D, where 16 of its 280 kernel problems run to
 max_epochs. Run it by hand with `PYTHONPATH=src python3 demos/03_linear_svm.py`."""
 
 import runpy

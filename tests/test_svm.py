@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from emovid.svm import (
     train_binary,
     train_ovr,
     _cv_solve,
+    _permutation,
     _projected_gradient,
 )
 from emovid.synth import oracle_svm_subgradient
@@ -46,6 +48,20 @@ def test_config_validation():
         SvmTrainConfig(tolerance=-1e-3)
     with pytest.raises(ValueError, match="max_epochs"):
         SvmTrainConfig(max_epochs=0)
+    # random.Random(-1) would quietly draw random.Random(1)'s orders
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SvmTrainConfig(seed=-1)
+
+
+def test_pass_orders_are_pinned_permutations():
+    """_permutation is the one source of pass and fold orders. Its order for
+    a fixed seed is pinned, so a change to random.Random's stream
+    (getrandbits) fails here rather than quietly moving model bytes."""
+    assert _permutation(random.Random(2024), 16).tolist() == [
+        15, 0, 2, 12, 14, 9, 10, 6, 13, 1, 11, 7, 3, 8, 4, 5]
+    rng = random.Random(7)
+    for n in (0, 1, 2, 5, 64, 1000):
+        assert sorted(_permutation(rng, n).tolist()) == list(range(n))
 
 
 def test_separable_pair():
@@ -146,11 +162,17 @@ def test_converged_solves_meet_kkt_certificate(data, C):
 
 
 def test_shrinking_converges_well_inside_the_cap():
-    # 1000 full passes do not converge here; the shrunk passes need < 100
+    """1000 full passes do not converge here. With shrinking every one of
+    seeds 0-19 converges, in 39-123 epochs with median 60; the count
+    depends on the pass orders, so the bound is on the median."""
     X, y, _ = margin_suite()
-    w, info = train_binary(design_rows(X), y, SvmTrainConfig(C=0.1, seed=1), full_output=True)
-    assert info.converged
-    assert info.epochs < 100
+    epochs = []
+    for seed in range(20):
+        w, info = train_binary(design_rows(X), y, SvmTrainConfig(C=0.1, seed=seed),
+                               full_output=True)
+        assert info.converged, seed
+        epochs.append(info.epochs)
+    assert np.median(epochs) < 100
 
 
 @pytest.mark.parametrize("max_epochs", [1, 3])
@@ -284,6 +306,8 @@ def test_stratified_folds_cover_and_stratify():
         stratified_folds(labels, folds=1, seed=0)
     with pytest.raises(ValueError, match="cannot build"):
         stratified_folds([0, 3], folds=5, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        stratified_folds(labels, folds=5, seed=-1)
 
 
 def test_stratified_folds_handle_class_smaller_than_fold_count():
