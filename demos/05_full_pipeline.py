@@ -1,8 +1,10 @@
 """The whole pipeline on generated data, library-level.
 
-synthesize -> aggregate -> cross-validate C -> train (train_ovr fits the
-normalization chain, and the model carries it) -> score validation
-videos -> ensemble two streams -> evaluate.
+synthesize (the generator writes a manifest and one frame file per
+video, and keeps no frames) -> read the files back -> aggregate ->
+cross-validate C -> train (train_ovr fits the normalization chain, and
+the model carries it) -> score validation videos -> ensemble two
+streams -> evaluate.
 
 Everything downstream of the generator is deterministic in the seeds, so
 rerunning this script reproduces the same report byte for byte.
@@ -21,6 +23,8 @@ from emovid import (
     decision_scores,
     evaluate,
     generate_dataset,
+    label_from_name,
+    load_frame_features,
     predict,
     render_report,
     train_ovr,
@@ -40,16 +44,20 @@ def train_stream(seed, work_dir):
         counts={"train": 10, "val": 6},
         seed=seed,
     )
-    dataset = generate_dataset(cfg, work_dir)
+    manifest = generate_dataset(cfg, work_dir)
     split = {"train": [], "val": []}
-    for sample in dataset.samples:
-        split[sample.split].append(sample)
+    for entry in manifest.entries:
+        split[entry.split].append(entry)
 
-    def matrix(samples):
-        return np.stack([build_video_descriptor(s.streams["frames"], STAT_STAR) for s in samples])
+    def matrix(entries):
+        return np.stack([build_video_descriptor(load_frame_features(manifest.resolve(e, "frames")),
+                                                STAT_STAR) for e in entries])
+
+    def labels(entries):
+        return [label_from_name(e.label_name) for e in entries]
 
     x_train, x_val = matrix(split["train"]), matrix(split["val"])
-    y_train = [s.label for s in split["train"]]
+    y_train = labels(split["train"])
 
     grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
     best_c, _ = cross_validate_c(x_train, y_train, grid, cfg=SvmTrainConfig(seed=seed), folds=5)
@@ -57,8 +65,8 @@ def train_stream(seed, work_dir):
 
     # the same chain cross_validate_c fit in every fold, now on all of x_train
     model = train_ovr(x_train, y_train, SvmTrainConfig(C=best_c, seed=seed))
-    scores = decision_scores(model, x_val, video_ids=[s.video_id for s in split["val"]])
-    return scores, [s.label for s in split["val"]]
+    scores = decision_scores(model, x_val, video_ids=[e.video_id for e in split["val"]])
+    return scores, labels(split["val"])
 
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -36,7 +36,6 @@ from .core import (
     EmotionLabel,
     FrameFeatureSequence,
     ScoreMatrix,
-    VideoSample,
     label_from_name,
 )
 from .ensemble import (
@@ -75,7 +74,6 @@ from .svm import (
     train_ovr,
 )
 from .synth import (
-    GeneratedDataset,
     SynthConfig,
     generate_dataset,
     oracle_dft,

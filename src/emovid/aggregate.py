@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrameFeatureSequence
+from .util import FieldError
 
 # the STAT* preset: mean, std and min (STAT adds max)
 STAT_STAR_AGGREGATORS = ("mean", "std", "min")
@@ -30,12 +31,13 @@ class AggregationConfig:
     def __post_init__(self):
         aggs = tuple(self.aggregators)
         if not aggs:
-            raise ValueError("aggregators must be non-empty")
+            raise FieldError("aggregators", "must be non-empty")
         unknown = [a for a in aggs if a not in AGGREGATOR_NAMES]
         if unknown:
-            raise ValueError(f"unknown aggregators {unknown}, expected {AGGREGATOR_NAMES}")
+            raise FieldError("aggregators",
+                             f"has unknown names {unknown}, expected {AGGREGATOR_NAMES}")
         if len(set(aggs)) != len(aggs):
-            raise ValueError(f"duplicate aggregators in {aggs}")
+            raise FieldError("aggregators", f"has duplicates in {aggs}")
         object.__setattr__(self, "aggregators", aggs)
 
 

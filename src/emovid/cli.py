@@ -48,7 +48,7 @@ from .svm import (
     train_ovr,
 )
 from .synth import SynthConfig, generate_dataset
-from .util import config_from_dict, derive_seed
+from .util import FieldError, config_from_dict, derive_seed
 
 DEFAULT_CV_GRID = tuple(2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6))
 
@@ -60,9 +60,9 @@ class CvConfig:
 
     def __post_init__(self):
         if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
+            raise FieldError("folds", f"must be >= 2, got {self.folds}")
         if not self.grid:
-            raise ValueError("cv grid must be non-empty")
+            raise FieldError("grid", "must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.streams:
-            raise ValueError("config must declare at least one stream")
+            raise FieldError("streams", "must declare at least one stream")
 
 
 def load_pipeline_config(path: str | None) -> PipelineConfig:
@@ -142,8 +142,8 @@ def cmd_synth(args) -> int:
         cfg = config_from_dict(SynthConfig, read_json(args.config), "synth config")
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, "synth"))
-    dataset = generate_dataset(cfg, args.out)
-    print(f"wrote {len(dataset.manifest)} videos under {args.out}")
+    manifest = generate_dataset(cfg, args.out)
+    print(f"wrote {len(manifest.entries)} videos under {args.out}")
     return 0
 
 
@@ -151,9 +151,10 @@ def cmd_aggregate(args) -> int:
     manifest = load_manifest(args.manifest)
     if not manifest.entries:
         raise ValueError(f"{args.manifest}: no videos")
-    config = load_pipeline_config(args.config)
+    doc = {} if args.config is None else read_json(args.config)
+    config = config_from_dict(PipelineConfig, doc)
     # the sections as written: a stream of one-vector files takes only {}
-    written = read_json(args.config).get("streams", {}) if args.config else {}
+    written = doc.get("streams", {})
     if args.features_dir:
         manifest = replace(manifest, root=Path(args.features_dir))
     out_dir = Path(args.out)

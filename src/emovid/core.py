@@ -101,26 +101,6 @@ class FrameFeatureSequence:
 
 
 @dataclass(frozen=True, eq=False)
-class VideoSample:
-    """One video: id, split, optional label, and its feature streams.
-
-    A stream value is a FrameFeatureSequence or, for audio, a single 1-D
-    feature vector.
-    """
-
-    video_id: str
-    split: str
-    label: EmotionLabel | None
-    streams: dict
-
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ValueError(f"unknown split {self.split!r}, expected one of {SPLITS}")
-        if self.split in ("train", "val") and self.label is None:
-            raise ValueError(f"{self.split} sample {self.video_id!r} must carry a label")
-
-
-@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Per-video x per-class real scores; rows follow video_ids order."""
 

@@ -52,7 +52,7 @@ from .core import (
     ScoreMatrix,
     label_from_name,
 )
-from .util import config_from_dict, config_to_dict
+from .util import FieldError, config_from_dict, config_to_dict
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,14 @@ class ManifestEntry:
 
     def __post_init__(self):
         if not self.video_id:
-            raise ValueError("id must be non-empty")
+            raise FieldError("video_id", "must be non-empty")
         if self.split not in SPLITS:
-            raise ValueError(f"bad split {self.split!r}, expected one of {SPLITS}")
+            raise FieldError("split", f"must be one of {SPLITS}, got {self.split!r}")
         if self.label_name is not None:
-            label_from_name(self.label_name)  # raises on unknown names
+            try:
+                label_from_name(self.label_name)
+            except ValueError as exc:
+                raise FieldError("label_name", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,6 @@ class Manifest:
                 f"video {entry.video_id!r}: stream {stream!r} path {str(path)!r} does not exist"
             )
         return path
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # --- JSON -----------------------------------------------------------------------

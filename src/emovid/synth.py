@@ -2,10 +2,12 @@
 
 The generator stands in for real datasets: seven class centroids on
 a sphere, a per-video offset, per-frame noise. It writes exactly the
-ingest formats, so generated datasets round-trip bit-exactly, and every
-byte is a deterministic function of the seed. The oracles are
-deliberately naive routes (direct O(T^2) DFT, projected subgradient on
-the SVM primal) used to cross-check the fast implementations.
+ingest formats, one video at a time, and keeps no frames: a caller
+reads a generated dataset back through ingest, as the CLI does, and
+every file round-trips bit-exactly. Every byte is a deterministic
+function of the seed. The oracles are deliberately naive routes (direct
+O(T^2) DFT, projected subgradient on the SVM primal) used to
+cross-check the fast implementations.
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    EMOTION_NAMES,
-    NUM_CLASSES,
-    SPLITS,
-    EmotionLabel,
-    FrameFeatureSequence,
-    VideoSample,
-)
+from .core import EMOTION_NAMES, NUM_CLASSES, SPLITS, FrameFeatureSequence
 from .ingest import Manifest, ManifestEntry, write_frame_features, write_manifest
+from .util import FieldError
 
 
 def _default_counts() -> dict:
@@ -51,37 +47,33 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+            raise FieldError("dim", f"must be >= 1, got {self.dim}")
         lo, hi = self.frames_range
         if not (1 <= lo <= hi):
-            raise ValueError(f"frames_range must satisfy 1 <= lo <= hi, got {self.frames_range}")
+            raise FieldError("frames_range",
+                             f"must satisfy 1 <= lo <= hi, got {self.frames_range}")
         object.__setattr__(self, "frames_range", (int(lo), int(hi)))
         if self.variants < 1:
-            raise ValueError(f"variants must be >= 1, got {self.variants}")
-        if self.class_separation < 0 or self.within_video_sigma < 0 or self.frame_sigma < 0:
-            raise ValueError("separation and sigmas must be nonnegative")
+            raise FieldError("variants", f"must be >= 1, got {self.variants}")
+        for name in ("class_separation", "within_video_sigma", "frame_sigma"):
+            if getattr(self, name) < 0:
+                raise FieldError(name, f"must be nonnegative, got {getattr(self, name)}")
         counts = {}
         for split, value in dict(self.counts).items():
             if split not in SPLITS:
-                raise ValueError(f"unknown split {split!r} in counts")
+                raise FieldError("counts",
+                                 f"has unknown split {split!r}, expected one of {SPLITS}")
             per_class = (
                 (int(value),) * NUM_CLASSES
                 if isinstance(value, int)
                 else tuple(int(v) for v in value)
             )
             if len(per_class) != NUM_CLASSES or any(v < 0 for v in per_class):
-                raise ValueError(
-                    f"counts[{split!r}] must be {NUM_CLASSES} nonnegative ints"
+                raise FieldError(
+                    "counts", f"split {split!r} must hold {NUM_CLASSES} nonnegative ints"
                 )
             counts[split] = per_class
         object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
-class GeneratedDataset:
-    manifest_path: Path
-    manifest: Manifest
-    samples: tuple  # VideoSample per manifest entry, same order
 
 
 def class_centroids(cfg: SynthConfig) -> np.ndarray:
@@ -98,9 +90,11 @@ def class_centroids(cfg: SynthConfig) -> np.ndarray:
     return centroids
 
 
-def generate_dataset(cfg: SynthConfig, out_dir) -> GeneratedDataset:
+def generate_dataset(cfg: SynthConfig, out_dir) -> Manifest:
     """Write a manifest plus per-video frame-feature files under out_dir,
-    all in the stream named frames, cli.PipelineConfig's default stream.
+    all in the stream named frames, cli.PipelineConfig's default stream,
+    and return the manifest written. Each video's frames are written as
+    they are drawn and not kept, so memory does not grow with the count.
 
     Byte-identical for identical configs: every video draws from its own
     generator keyed by (seed, video index), so per-video work could also
@@ -112,7 +106,6 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> GeneratedDataset:
     t_lo, t_hi = cfg.frames_range
 
     entries = []
-    samples = []
     video_index = 0
     for split in SPLITS:
         per_class = cfg.counts.get(split, (0,) * NUM_CLASSES)
@@ -128,19 +121,14 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> GeneratedDataset:
                 )
                 frames = centroids[c] + offset + noise
                 video_id = f"{split}_{EMOTION_NAMES[c].lower()}_{k:03d}"
-                seq = FrameFeatureSequence(video_id, frames)
                 rel = f"features/frames/{video_id}.csv"
-                write_frame_features(seq, out / rel)
+                write_frame_features(FrameFeatureSequence(video_id, frames), out / rel)
                 entries.append(
                     ManifestEntry(video_id, split, EMOTION_NAMES[c], {"frames": rel})
                 )
-                samples.append(
-                    VideoSample(video_id, split, EmotionLabel(c), {"frames": seq})
-                )
                 video_index += 1
-    manifest_path = out / "manifest.jsonl"
-    write_manifest(entries, manifest_path)
-    return GeneratedDataset(manifest_path, Manifest(tuple(entries), out), tuple(samples))
+    write_manifest(entries, out / "manifest.jsonl")
+    return Manifest(tuple(entries), out)
 
 
 def oracle_dft(signal) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Shared test fixtures: synthetic constructions used by several modules."""
 
+from pathlib import Path
+
 import numpy as np
 
+from emovid.ingest import load_frame_features, load_manifest
 from emovid.normalize import (
     DEGENERATE_STD,
     NormalizationParams,
@@ -40,6 +43,16 @@ def cluster_labels_matrix(n_per_class, d, separation, sigma, seed):
         rows.append(centroids[c] + sigma * rng.standard_normal((n_per_class, d)))
         labels.extend([c] * n_per_class)
     return np.vstack(rows), labels
+
+
+def generated_videos(out_dir):
+    """(entry, frames) for each video of the dataset synth.generate_dataset
+    wrote under out_dir, in manifest order: the files read back through
+    load_manifest and load_frame_features, the bytes the CLI reads."""
+    manifest = load_manifest(Path(out_dir) / "manifest.jsonl")
+    return [(entry, load_frame_features(manifest.resolve(entry, "frames"),
+                                        video_id=entry.video_id))
+            for entry in manifest.entries]
 
 
 def design_rows(X):

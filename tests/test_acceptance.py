@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import design_rows, margin_suite
+from helpers import design_rows, generated_videos, margin_suite
 
 from emovid.aggregate import (
     AggregationConfig,
@@ -19,14 +19,14 @@ from emovid.aggregate import (
     shuffle_frames,
 )
 from emovid.cli import main
-from emovid.core import FrameFeatureSequence
+from emovid.core import FrameFeatureSequence, label_from_name
 from emovid.ensemble import (
     apply_class_weights,
     class_weights_from_counts,
     combine_streams,
     predict,
 )
-from emovid.ingest import load_frame_features, load_manifest
+from emovid.ingest import load_frame_features, write_frame_features
 from emovid.normalize import rootsift
 from emovid.svm import (
     SvmTrainConfig,
@@ -160,23 +160,30 @@ def _run_pipeline(tmp_dir, seed):
         counts={"train": 10, "val": 5},
         seed=seed,
     )
-    dataset = generate_dataset(cfg, tmp_dir)
-    train = [s for s in dataset.samples if s.split == "train"]
-    val = [s for s in dataset.samples if s.split == "val"]
-    x_train = np.stack(
-        [build_video_descriptor(s.streams["frames"], STAT_STAR) for s in train]
-    )
-    x_val = np.stack(
-        [build_video_descriptor(s.streams["frames"], STAT_STAR) for s in val]
-    )
-    y_train = [s.label for s in train]
-    y_val = np.array([int(s.label) for s in val])
+    generate_dataset(cfg, tmp_dir)
+    by_split = _descriptors_by_split(tmp_dir)
+    x_train, y_train, _ = by_split["train"]
+    x_val, y_val, _ = by_split["val"]
     grid = [2.0 ** k for k in (-8, -6, -4, -2, 0, 2, 4, 6)]
     best_c, _ = cross_validate_c(x_train, y_train, grid, cfg=SvmTrainConfig(seed=13), folds=5)
     model = train_ovr(x_train, y_train, SvmTrainConfig(C=best_c, seed=7))
     scores = decision_scores(model, x_val)
     accuracy = float((scores.scores.argmax(axis=1) == y_val).mean())
     return scores.scores, accuracy
+
+
+def _descriptors_by_split(out_dir):
+    """split -> (STAT* descriptors, class indices, video ids) of the
+    dataset generated under out_dir, read back from its files."""
+    rows = {}
+    for entry, seq in generated_videos(out_dir):
+        rows.setdefault(entry.split, []).append((entry, seq))
+    return {
+        split: (np.stack([build_video_descriptor(seq, STAT_STAR) for _, seq in pairs]),
+                np.array([int(label_from_name(entry.label_name)) for entry, _ in pairs]),
+                [entry.video_id for entry, _ in pairs])
+        for split, pairs in rows.items()
+    }
 
 
 def test_criterion_7_end_to_end_synthetic(tmp_path):
@@ -200,27 +207,16 @@ def _stream_scores(tmp_dir, seed, counts, separation, sigma):
         frames_range=(6, 10),
         seed=seed,
     )
-    dataset = generate_dataset(cfg, tmp_dir)
-    by_split = {}
-    for sample in dataset.samples:
-        by_split.setdefault(sample.split, []).append(sample)
-    x_train = np.stack(
-        [build_video_descriptor(s.streams["frames"], STAT_STAR)
-         for s in by_split["train"]]
-    )
-    model = train_ovr(
-        x_train, [s.label for s in by_split["train"]], SvmTrainConfig(C=1.0, seed=seed)
-    )
+    generate_dataset(cfg, tmp_dir)
+    by_split = _descriptors_by_split(tmp_dir)
+    x_train, y_train, _ = by_split["train"]
+    model = train_ovr(x_train, y_train, SvmTrainConfig(C=1.0, seed=seed))
     out = {}
     for split in ("val", "test"):
         if split not in by_split:
             continue
-        x = np.stack(
-            [build_video_descriptor(s.streams["frames"], STAT_STAR)
-             for s in by_split[split]]
-        )
-        scores = decision_scores(model, x, video_ids=[s.video_id for s in by_split[split]])
-        out[split] = (scores, np.array([int(s.label) for s in by_split[split]]))
+        x, truth, ids = by_split[split]
+        out[split] = (decision_scores(model, x, video_ids=ids), truth)
     return out
 
 
@@ -277,13 +273,11 @@ def test_criterion_8_ensembling_and_weighting(tmp_path):
 def test_criterion_9_round_trip_and_determinism(tmp_path, capsys):
     with criterion(9, "generator round-trips through ingest; commands are reproducible"):
         cfg = SynthConfig(dim=6, variants=2, counts={"train": 2, "val": 1}, seed=31)
-        dataset = generate_dataset(cfg, tmp_path / "rt")
-        manifest = load_manifest(dataset.manifest_path)
-        for entry, sample in zip(manifest.entries, dataset.samples):
-            loaded = load_frame_features(
-                manifest.resolve(entry, "frames"), video_id=entry.video_id
-            )
-            assert (loaded.frames == sample.streams["frames"].frames).all()
+        manifest = generate_dataset(cfg, tmp_path / "rt")
+        for entry in manifest.entries:
+            path = manifest.resolve(entry, "frames")
+            write_frame_features(load_frame_features(path), tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
         synth_cfg = tmp_path / "synth.json"
         synth_cfg.write_text(

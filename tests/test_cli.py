@@ -236,7 +236,7 @@ def test_cv_rejects_single_fold(synth_dir, capsys, tmp_path):
     config.write_text(json.dumps({"cv": {"folds": 1}}))
     cv = ["cv", "--descriptors", str(tmp_path / "d" / "frames.csv"), "--manifest", manifest]
     err = run_fail(capsys, *cv, "--config", str(config))
-    assert "folds must be >= 2" in err
+    assert err == "error: config key 'cv.folds': must be >= 2, got 1\n"
     # the fold count is the config's cv.folds; there is no flag for it
     with pytest.raises(SystemExit) as info:
         main([*cv, "--folds", "3"])
@@ -625,10 +625,37 @@ UNREACHABLE_PARAMETERS = {
 }
 
 
+# well-typed values that a section's own checks refuse
+REFUSED_VALUES = {
+    "train-cv.folds": ("train", {"cv": {"folds": 1}}, "cv.folds"),
+    "train-cv.grid-empty": ("train", {"cv": {"grid": []}}, "cv.grid"),
+    "train-streams-empty": ("train", {"streams": {}}, "streams"),
+    "train-streams.frames.aggregators-empty": (
+        "train", {"streams": {"frames": {"aggregators": []}}}, "streams.frames.aggregators"),
+    "train-streams.frames.aggregators-unknown": (
+        "train", {"streams": {"frames": {"aggregators": ["median"]}}},
+        "streams.frames.aggregators"),
+    "train-streams.frames.aggregators-duplicate": (
+        "train", {"streams": {"frames": {"aggregators": ["min", "min"]}}},
+        "streams.frames.aggregators"),
+    "synth-dim-zero": ("synth", {"dim": 0}, "dim"),
+    "synth-frames_range-zero": ("synth", {"frames_range": [0, 4]}, "frames_range"),
+    "synth-variants-zero": ("synth", {"variants": 0}, "variants"),
+    "synth-class_separation-negative": ("synth", {"class_separation": -1}, "class_separation"),
+    "synth-within_video_sigma-negative": (
+        "synth", {"within_video_sigma": -1}, "within_video_sigma"),
+    "synth-frame_sigma-negative": ("synth", {"frame_sigma": -1}, "frame_sigma"),
+    "synth-counts-unknown-split": ("synth", {"counts": {"dev": 3}}, "counts"),
+    "synth-counts-width": ("synth", {"counts": {"train": [1, 2]}}, "counts"),
+}
+
+
 @pytest.mark.parametrize(
     "command, doc, key",
-    [*BAD_DOCUMENTS, *REMOVED_SECTIONS.values(), *UNREACHABLE_PARAMETERS.values()],
-    ids=[*(f"{c}-{k}" for c, _, k in BAD_DOCUMENTS), *REMOVED_SECTIONS, *UNREACHABLE_PARAMETERS],
+    [*BAD_DOCUMENTS, *REMOVED_SECTIONS.values(), *UNREACHABLE_PARAMETERS.values(),
+     *REFUSED_VALUES.values()],
+    ids=[*(f"{c}-{k}" for c, _, k in BAD_DOCUMENTS), *REMOVED_SECTIONS, *UNREACHABLE_PARAMETERS,
+         *REFUSED_VALUES],
 )
 def test_config_typos_and_bad_types_fail_loudly(capsys, tmp_path, command, doc, key):
     path = tmp_path / "doc.json"

@@ -8,7 +8,6 @@ from emovid.core import (
     EmotionLabel,
     FrameFeatureSequence,
     ScoreMatrix,
-    VideoSample,
     label_from_name,
 )
 
@@ -56,15 +55,6 @@ def test_frame_sequence_is_immutable_and_copied():
 def test_from_matrix_adds_variant_axis():
     seq = FrameFeatureSequence.from_matrix("v", [[1.0, 2.0], [3.0, 4.0]])
     assert seq.frames.shape == (2, 1, 2)
-
-
-def test_video_sample_label_rules():
-    seq = FrameFeatureSequence("v", np.zeros((1, 1, 1)))
-    VideoSample("v", "test", None, {"frames": seq})
-    with pytest.raises(ValueError, match="must carry a label"):
-        VideoSample("v", "train", None, {"frames": seq})
-    with pytest.raises(ValueError, match="unknown split"):
-        VideoSample("v", "validation", EmotionLabel.HAPPY, {})
 
 
 def test_score_matrix_validation():

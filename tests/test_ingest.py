@@ -64,7 +64,7 @@ def test_load_manifest_happy_path(tmp_path):
     path = tmp_path / "manifest.jsonl"
     path.write_text("\n".join(lines) + "\n")
     manifest = load_manifest(path)
-    assert len(manifest) == 3
+    assert len(manifest.entries) == 3
     assert [e.video_id for e in manifest.entries] == ["vid_001", "vid_002", "vid_003"]
     assert manifest.entries[2].label_name is None
     assert manifest.resolve(manifest.entries[0], "frames") == tmp_path / feat
@@ -100,7 +100,14 @@ def test_load_manifest_rejects_bad_records(tmp_path):
     with pytest.raises(ValueError, match="line 1.*JSON"):
         load_manifest(path)
     path.write_text(manifest_line("v", label="Joy") + "\n")
-    with pytest.raises(ValueError, match="Joy"):
+    message = "line 1: manifest key 'label': unknown emotion label: 'Joy'"
+    with pytest.raises(ValueError, match=message):
+        load_manifest(path)
+    path.write_text(manifest_line("") + "\n")
+    with pytest.raises(ValueError, match="line 1: manifest key 'id': must be non-empty"):
+        load_manifest(path)
+    path.write_text(manifest_line("v", split="dev") + "\n")
+    with pytest.raises(ValueError, match="line 1: manifest key 'split': must be one of"):
         load_manifest(path)
     path.write_text(json.dumps({"id": "v", "split": "train", "label": "Happy"}) + "\n")
     with pytest.raises(ValueError, match="line 1: manifest key 'streams': missing"):

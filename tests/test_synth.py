@@ -1,9 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from helpers import generated_videos
 
 from emovid.aggregate import AggregationConfig, build_video_descriptor
-from emovid.core import EmotionLabel
-from emovid.ingest import load_frame_features, load_manifest
+from emovid.core import label_from_name
+from emovid.ingest import load_frame_features, load_manifest, write_frame_features
 from emovid.svm import SvmTrainConfig, decision_scores, train_ovr
 from emovid.synth import (
     SynthConfig,
@@ -46,12 +50,12 @@ def test_noiseless_videos_sit_on_centroids(tmp_path):
         frames_range=(3, 5),
         seed=5,
     )
-    dataset = generate_dataset(cfg, tmp_path)
+    generate_dataset(cfg, tmp_path)
     centroids = class_centroids(cfg)
-    for sample in dataset.samples:
-        seq = sample.streams["frames"]
+    for entry, seq in generated_videos(tmp_path):
+        label = label_from_name(entry.label_name)
         for t in range(seq.num_frames):
-            np.testing.assert_array_equal(seq.frames[t, 0], centroids[int(sample.label)])
+            np.testing.assert_array_equal(seq.frames[t, 0], centroids[label])
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -63,13 +67,29 @@ def test_same_seed_byte_identical(tmp_path):
 
 
 def test_round_trips_through_ingest_bit_exact(tmp_path):
+    """The manifest returned is the one written, and every frame file it
+    names is rewritten byte for byte from what ingest reads back."""
     cfg = SynthConfig(dim=4, variants=3, counts={"train": 1, "test": 1}, seed=12)
-    dataset = generate_dataset(cfg, tmp_path)
-    manifest = load_manifest(dataset.manifest_path)
-    assert [e.video_id for e in manifest.entries] == [s.video_id for s in dataset.samples]
-    for entry, sample in zip(manifest.entries, dataset.samples):
-        loaded = load_frame_features(manifest.resolve(entry, "frames"), video_id=entry.video_id)
-        assert (loaded.frames == sample.streams["frames"].frames).all()
+    manifest = generate_dataset(cfg, tmp_path / "ds")
+    assert load_manifest(tmp_path / "ds" / "manifest.jsonl") == manifest
+    assert len(manifest.entries) == 14
+    for entry in manifest.entries:
+        path = manifest.resolve(entry, "frames")
+        write_frame_features(load_frame_features(path), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_memory_does_not_grow_with_the_video_count(tmp_path):
+    """Each video is written and dropped: 56 videos peak at under twice
+    the memory of 7 of the same shape."""
+    cfg = SynthConfig(dim=64, frames_range=(32, 32), variants=2, seed=4)
+    peaks = {}
+    for per_class in (1, 1, 8):  # the first run warms caches and imports
+        tracemalloc.start()
+        generate_dataset(replace(cfg, counts={"train": per_class}), tmp_path / f"n{per_class}")
+        peaks[per_class] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[8] < 2 * peaks[1], peaks
 
 
 def test_separated_classes_are_learnable(tmp_path):
@@ -77,12 +97,11 @@ def test_separated_classes_are_learnable(tmp_path):
         dim=16, class_separation=10.0, within_video_sigma=1.0, frame_sigma=1.0,
         counts={"train": 4}, seed=21,
     )
-    dataset = generate_dataset(cfg, tmp_path)
+    generate_dataset(cfg, tmp_path)
+    videos = generated_videos(tmp_path)
     agg = AggregationConfig()
-    X = np.stack(
-        [build_video_descriptor(s.streams["frames"], agg) for s in dataset.samples]
-    )
-    labels = [s.label for s in dataset.samples]
+    X = np.stack([build_video_descriptor(seq, agg) for _, seq in videos])
+    labels = [label_from_name(entry.label_name) for entry, _ in videos]
     model = train_ovr(X, labels, SvmTrainConfig(C=1.0, seed=1))
     predicted = decision_scores(model, X).scores.argmax(axis=1)
     assert (predicted == np.array([int(l) for l in labels])).all()
@@ -93,20 +112,21 @@ def test_noiseless_pipeline_is_perfect_on_every_split(tmp_path):
         dim=8, class_separation=5.0, within_video_sigma=0.0, frame_sigma=0.0,
         counts={"train": 2, "val": 2, "test": 2}, seed=33,
     )
-    dataset = generate_dataset(cfg, tmp_path)
+    generate_dataset(cfg, tmp_path)
+    videos = generated_videos(tmp_path)
     agg = AggregationConfig()
-    train = [s for s in dataset.samples if s.split == "train"]
-    x_train = np.stack(
-        [build_video_descriptor(s.streams["frames"], agg) for s in train]
-    )
-    model = train_ovr(x_train, [s.label for s in train], SvmTrainConfig(seed=1))
+
+    def split_rows(split):
+        rows = [(entry, seq) for entry, seq in videos if entry.split == split]
+        x = np.stack([build_video_descriptor(seq, agg) for _, seq in rows])
+        return x, [label_from_name(entry.label_name) for entry, _ in rows]
+
+    x_train, y_train = split_rows("train")
+    model = train_ovr(x_train, y_train, SvmTrainConfig(seed=1))
     for split in ("train", "val", "test"):
-        samples = [s for s in dataset.samples if s.split == split]
-        x = np.stack(
-            [build_video_descriptor(s.streams["frames"], agg) for s in samples]
-        )
+        x, labels = split_rows(split)
         predicted = decision_scores(model, x).scores.argmax(axis=1)
-        truth = np.array([int(s.label) for s in samples])
+        truth = np.array([int(label) for label in labels])
         assert (predicted == truth).all(), f"{split} split not perfect"
 
 
